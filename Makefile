@@ -87,7 +87,10 @@ baseline:
 # losing its amortization (speedup ~1.0). A second pass guards absolute
 # parallel-reduction time: ns/op must not blow past 1.5x the recorded
 # value. A third guards lane-render allocations: allocs/op above 1.5x
-# baseline means the lane buffer reuse across tiles broke. The ratio
+# baseline means the lane buffer reuse across tiles broke. A fourth guards
+# bytes allocated by the reduction campaign and the VM render loop: B/op
+# above 1.5x baseline means a per-render or per-probe allocation (the VM's
+# value arena, cell stores, fingerprint encoding) came back. The ratio
 # metrics are the tight guards (they cancel machine speed); the absolute
 # bounds are backstops against wholesale regressions that leave the
 # internal ratios intact. Two final passes guard hit fractions: the cold
@@ -112,6 +115,9 @@ bench-compare:
 		-current /tmp/bench-current.json -metric allocs/op -mode max -tolerance 1.5 \
 		-only BenchmarkInterpVMLanes/uniform/l8
 	$(GO) run ./scripts/benchcompare -baseline BENCH_pr10.json \
+		-current /tmp/bench-current.json -metric B/op -mode max -tolerance 1.5 \
+		-only BenchmarkRunnerParallelReduce,BenchmarkInterpVM
+	$(GO) run ./scripts/benchcompare -baseline BENCH_pr10.json \
 		-current /tmp/bench-current.json -metric dedup-frac -mode min -tolerance 0.95 \
 		-only BenchmarkClusterCampaign
 	$(GO) run ./scripts/benchcompare -baseline BENCH_pr10.json \
@@ -124,9 +130,14 @@ bench-compare:
 		-current /tmp/bench-current.json -metric wire-frac -mode max -tolerance 1.5 \
 		-only BenchmarkClusterPipeline
 
-# CPU-profile the parallel-reduction campaign benchmark and print the top-10
-# functions by flat time — the quick answer to "where do campaign cycles go".
+# CPU- and memory-profile the parallel-reduction campaign benchmark and
+# print the top-10 functions by flat CPU time and by bytes allocated — the
+# quick answer to "where do campaign cycles go", and to how much of them is
+# allocation and GC.
 profile:
 	$(GO) test -short -run '^$$' -bench 'RunnerParallelReduce' -benchtime=1x \
-		-cpuprofile /tmp/spirvfuzz-cpu.pprof -o /tmp/spirvfuzz-bench.test .
+		-cpuprofile /tmp/spirvfuzz-cpu.pprof -memprofile /tmp/spirvfuzz-mem.pprof \
+		-o /tmp/spirvfuzz-bench.test .
 	$(GO) tool pprof -top -nodecount=10 /tmp/spirvfuzz-bench.test /tmp/spirvfuzz-cpu.pprof
+	$(GO) tool pprof -top -nodecount=10 -sample_index=alloc_space \
+		/tmp/spirvfuzz-bench.test /tmp/spirvfuzz-mem.pprof

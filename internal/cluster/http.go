@@ -307,9 +307,7 @@ func writeNegotiated(w http.ResponseWriter, r *http.Request, status int, data []
 	if acceptsGzip(r) && len(data) >= gzipMinBytes {
 		w.Header().Set("Content-Encoding", "gzip")
 		w.WriteHeader(status)
-		zw := gzip.NewWriter(w)
-		zw.Write(data)
-		zw.Close()
+		_ = gzipTo(w, data) // a failed write means the client went away
 		return
 	}
 	w.WriteHeader(status)

@@ -2,9 +2,13 @@ package cluster
 
 import (
 	"bytes"
+	"compress/gzip"
 	"context"
+	"errors"
 	"fmt"
+	"math/rand"
 	"net/http/httptest"
+	"sync"
 	"testing"
 	"time"
 
@@ -346,4 +350,49 @@ func TestTransportGzipRoundTrip(t *testing.T) {
 	if plainSync.WireBytesIn != plainSync.RawBytesIn || plainSync.WireBytesOut != plainSync.RawBytesOut {
 		t.Fatalf("compression off but wire != raw: %+v", plainSync)
 	}
+}
+
+// failingWriter rejects every write, like a client that hung up.
+type failingWriter struct{}
+
+func (failingWriter) Write([]byte) (int, error) { return 0, errors.New("connection reset") }
+
+// TestTransportGzipPoolIdentical checks that pooled gzip writers, shared by
+// concurrent goroutines and recycled after failed writes, emit exactly the
+// bytes a fresh gzip.NewWriter does: the wire byte counts, and every peer's
+// decoding, depend on it.
+func TestTransportGzipPoolIdentical(t *testing.T) {
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(g)))
+			for i := 0; i < 20; i++ {
+				data := make([]byte, rng.Intn(16<<10))
+				for j := range data {
+					data[j] = "spirv{}[]:,0123456789"[rng.Intn(21)] // JSON-like, compressible
+				}
+				if i%7 == 3 {
+					if err := gzipTo(failingWriter{}, data); err == nil {
+						t.Error("gzipTo to a failing writer reported success")
+						return
+					}
+				}
+				var want, got bytes.Buffer
+				zw := gzip.NewWriter(&want)
+				zw.Write(data)
+				zw.Close()
+				if err := gzipTo(&got, data); err != nil {
+					t.Error(err)
+					return
+				}
+				if !bytes.Equal(got.Bytes(), want.Bytes()) {
+					t.Errorf("goroutine %d message %d: pooled writer output differs from gzip.NewWriter", g, i)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }

@@ -10,6 +10,7 @@ import (
 	"net"
 	"net/http"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -27,6 +28,26 @@ import (
 // header overhead and the CPU both lose. JSON shard payloads and blob
 // batches are far above it; heartbeats and join requests stay identity.
 const gzipMinBytes = 512
+
+// gzipWriters recycles gzip writers across messages on both sides of the
+// protocol: a writer carries about 800 KB of flate state, which a fresh
+// gzip.NewWriter per message would allocate and zero every time. A reset
+// writer at the default level emits exactly the bytes a new one would.
+var gzipWriters = sync.Pool{New: func() any { return gzip.NewWriter(nil) }}
+
+// gzipTo writes data to w as one complete gzip stream through a pooled
+// writer.
+func gzipTo(w io.Writer, data []byte) error {
+	zw := gzipWriters.Get().(*gzip.Writer)
+	zw.Reset(w)
+	_, err := zw.Write(data)
+	if cerr := zw.Close(); err == nil {
+		err = cerr
+	}
+	zw.Reset(nil) // drop the destination so the pool does not pin it
+	gzipWriters.Put(zw)
+	return err
+}
 
 // sharedTransport is the process-wide tuned transport. MaxIdleConnsPerHost
 // is raised from the default 2 — a worker talks to exactly one host and the
@@ -123,11 +144,7 @@ func postWire(ctx context.Context, hc *http.Client, base, path string, body, out
 	encoding := ""
 	if compress && len(raw) >= gzipMinBytes {
 		var buf bytes.Buffer
-		zw := gzip.NewWriter(&buf)
-		if _, err := zw.Write(raw); err != nil {
-			return 0, err
-		}
-		if err := zw.Close(); err != nil {
+		if err := gzipTo(&buf, raw); err != nil {
 			return 0, err
 		}
 		wire = buf.Bytes()

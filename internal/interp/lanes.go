@@ -1084,7 +1084,7 @@ func (lv *laneVM) exec(pf *pfunc, fr []Value, mask uint32, ret []Value) (alive, 
 						retired |= 1 << k
 						continue
 					}
-					storeLanePtr(pv.Ptr, *v)
+					storeInPlace(pv.Ptr, *v)
 				}
 
 			case popAccessChain:
@@ -1309,20 +1309,6 @@ func (lv *laneVM) exec(pf *pfunc, fr []Value, mask uint32, ret []Value) (alive, 
 		moves, direct = e.moves, e.direct
 		bi = e.target
 	}
-}
-
-// storeLanePtr is Pointer.Store for the lane VM: resetValue reuses the
-// destination's storage when it already holds a same-shaped composite,
-// instead of allocating a fresh deep clone per store. Cells never share
-// structure with frames or the arena — every load out of a cell copies — so
-// overwriting in place is indistinguishable from the scalar machine's
-// replace-with-clone.
-func storeLanePtr(p *Pointer, val Value) {
-	v := &p.Cell.V
-	for _, i := range p.Path {
-		v = &v.Elems[i]
-	}
-	resetValue(v, val)
 }
 
 // loadLanePtr is vmachine.loadPtr for the lane VM: a pointer load whose copy

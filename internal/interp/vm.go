@@ -18,6 +18,9 @@ type vmachine struct {
 	callDepth int
 }
 
+// minArenaChunk is the size of a machine's first element-arena chunk.
+const minArenaChunk = 64
+
 // valArena is the bump arena for frame-bound composite elements, shared by
 // the scalar vmachine and the laneVM so both engines evaluate composites
 // through the same allocation and semantic paths.
@@ -29,14 +32,20 @@ type valArena struct {
 // allocElems bump-allocates n element slots from the per-pixel arena. Values
 // backed by the arena may only be stored in frame slots: frames die when the
 // invocation returns, and everything that outlives the pixel (memory cells)
-// is written through Clone, which copies to the heap. renderPixel (and the
-// lane renderer, per group) resets the arena, so steady-state rendering
-// allocates nothing.
+// is written by copying into cell-owned storage. renderPixel (and the lane
+// renderer, per group) resets the arena, so steady-state rendering allocates
+// nothing.
+//
+// The chunk starts small and doubles on demand: most shaders need a few
+// dozen slots per pixel, and a machine lives for one render, so a large
+// first chunk would be zeroed and scanned by the GC for nothing. The largest
+// chunk is kept across pixels, so growth stops once it covers the peak
+// per-pixel demand.
 func (ar *valArena) allocElems(n int) []Value {
 	if ar.eoff+n > len(ar.earena) {
 		// A new chunk; the old one stays alive while frame values reference
 		// it and is collected afterwards.
-		ar.earena = make([]Value, max(4096, n))
+		ar.earena = make([]Value, max(2*len(ar.earena), minArenaChunk, n))
 		ar.eoff = 0
 	}
 	s := ar.earena[ar.eoff : ar.eoff+n : ar.eoff+n]
@@ -535,7 +544,7 @@ func (vm *vmachine) exec(pf *pfunc, fr []Value) (Value, error) {
 				if pv.Kind != KindPointer {
 					return Value{}, faultf("OpStore to non-pointer %%%d", ins.msgID)
 				}
-				pv.Ptr.Store(v)
+				storeInPlace(pv.Ptr, v)
 
 			case popAccessChain:
 				base, err := vm.read(pf, fr, ins.a)
@@ -634,7 +643,7 @@ func (vm *vmachine) exec(pf *pfunc, fr []Value) (Value, error) {
 
 // loadPtr is Pointer.Load with the copy taken from the arena: loaded values
 // land in frame slots, and anything stored back into a cell goes through
-// Pointer.Store's heap Clone.
+// storeInPlace's copy into cell-owned storage.
 func (vm *vmachine) loadPtr(p *Pointer) Value {
 	v := &p.Cell.V
 	for _, i := range p.Path {
@@ -643,10 +652,25 @@ func (vm *vmachine) loadPtr(p *Pointer) Value {
 	return vm.arenaClone(*v)
 }
 
+// storeInPlace is Pointer.Store for both VMs: resetValue copies into the
+// destination's existing element storage when it already holds a
+// same-shaped composite, and falls back to a heap Clone when the shape
+// differs. Cells never share structure with frames, constants or the arena
+// — every load out of a cell copies, and every store into one copies — so
+// overwriting in place is indistinguishable from the tree-walker's
+// replace-with-clone, including when val was loaded from the same cell.
+func storeInPlace(p *Pointer, val Value) {
+	v := &p.Cell.V
+	for _, i := range p.Path {
+		v = &v.Elems[i]
+	}
+	resetValue(v, val)
+}
+
 // resetColor writes the program's output zero into the color cell, reusing
 // the cell's existing element storage when the shape still matches (the
-// common case: OpStore replaces the whole value with a same-shaped clone, so
-// after the first pixel no allocation is needed).
+// common case: OpStore writes a same-shaped value in place, so after the
+// first pixel no allocation is needed).
 func (vm *vmachine) resetColor() {
 	resetValue(&vm.cells[vm.p.color].V, vm.p.colorZero)
 }

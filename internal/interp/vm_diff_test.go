@@ -328,3 +328,150 @@ func TestVMDiffFirstFaultWins(t *testing.T) {
 		}
 	}
 }
+
+// storeModules crafts modules whose OpStores exercise every path of the
+// VMs' in-place store: a whole-composite overwrite of a same-shaped cell, a
+// store through an access chain into a struct member, stores that change the
+// shape of the destination (the Clone fallback), and stores of values loaded
+// from the destination cell itself. Every image depends on the pixel
+// coordinate, so a store leaking state across pixels or lanes shows.
+func storeModules() map[string]*spirv.Module {
+	cases := map[string]*spirv.Module{}
+	{ // Whole-composite stores into a local vec4: a constant, a computed
+		// value, then a value derived from a load of the cell.
+		b := spirv.NewBuilder()
+		s := b.BeginFragmentShell()
+		m := b.Mod
+		zero, one := m.EnsureConstantFloat(0), m.EnsureConstantFloat(1)
+		local := b.LocalVariable(s.Vec4)
+		c := b.Emit(spirv.OpLoad, s.Vec2, s.Coord)
+		x := b.EmitWords(spirv.OpCompositeExtract, s.Float, uint32(c), 0)
+		y := b.EmitWords(spirv.OpCompositeExtract, s.Float, uint32(c), 1)
+		b.Store(local, m.EnsureConstantComposite(s.Vec4, zero, zero, zero, one))
+		v1 := b.Emit(spirv.OpCompositeConstruct, s.Vec4, x, y, zero, one)
+		b.Store(local, v1)
+		v2 := b.Emit(spirv.OpLoad, s.Vec4, local)
+		v3 := b.Emit(spirv.OpFAdd, s.Vec4, v2, v1)
+		b.Store(local, v3)
+		b.Store(s.Color, b.Emit(spirv.OpLoad, s.Vec4, local))
+		b.FinishFragmentShell(s)
+		cases["store-whole-composite"] = m
+	}
+	{ // Stores through access chains into members of a local struct
+		// { float; vec4; float[3] }, then a whole-struct copy.
+		b := spirv.NewBuilder()
+		s := b.BeginFragmentShell()
+		m := b.Mod
+		one := m.EnsureConstantFloat(1)
+		i0, i1, i2 := m.EnsureConstantInt(0), m.EnsureConstantInt(1), m.EnsureConstantInt(2)
+		arr := m.EnsureTypeArray(s.Float, m.EnsureConstantInt(3))
+		st := m.EnsureTypeStruct(s.Float, s.Vec4, arr)
+		ptrF := m.EnsureTypePointer(spirv.StorageFunction, s.Float)
+		ptrV4 := m.EnsureTypePointer(spirv.StorageFunction, s.Vec4)
+		src, dst := b.LocalVariable(st), b.LocalVariable(st)
+		c := b.Emit(spirv.OpLoad, s.Vec2, s.Coord)
+		x := b.EmitWords(spirv.OpCompositeExtract, s.Float, uint32(c), 0)
+		y := b.EmitWords(spirv.OpCompositeExtract, s.Float, uint32(c), 1)
+		b.Store(b.AccessChain(ptrF, src, i0), x)
+		b.Store(b.AccessChain(ptrV4, src, i1), b.Emit(spirv.OpCompositeConstruct, s.Vec4, y, x, y, one))
+		b.Store(b.AccessChain(ptrF, src, i2, i1), y)
+		b.Store(b.AccessChain(ptrF, src, i1, i2), b.Emit(spirv.OpLoad, s.Float, b.AccessChain(ptrF, src, i2, i1)))
+		b.Store(dst, b.Emit(spirv.OpLoad, st, src))
+		b.Store(b.AccessChain(ptrF, src, i1, i0), one) // must not reach dst
+		v := b.Emit(spirv.OpLoad, s.Vec4, b.AccessChain(ptrV4, dst, i1))
+		w := b.Emit(spirv.OpLoad, s.Float, b.AccessChain(ptrF, dst, i0))
+		b.Store(s.Color, b.Emit(spirv.OpVectorTimesScalar, s.Vec4, v, w))
+		b.FinishFragmentShell(s)
+		cases["store-struct-member"] = m
+	}
+	{ // Shape-changing stores: the vec4 output cell first receives a
+		// vec2, then a scalar on the left half of the image, or a vec4
+		// whose second component then receives a vec2 on the right half.
+		// The in-place store and the next pixel's color reset must both
+		// fall back to a fresh copy.
+		b := spirv.NewBuilder()
+		s := b.BeginFragmentShell()
+		m := b.Mod
+		half, one := m.EnsureConstantFloat(0.5), m.EnsureConstantFloat(1)
+		ptrF := m.EnsureTypePointer(spirv.StorageOutput, s.Float)
+		c := b.Emit(spirv.OpLoad, s.Vec2, s.Coord)
+		x := b.EmitWords(spirv.OpCompositeExtract, s.Float, uint32(c), 0)
+		b.Store(s.Color, c)
+		left, right, merge := b.NewLabel(), b.NewLabel(), b.NewLabel()
+		b.SelectionMerge(merge)
+		b.BranchCond(b.Emit(spirv.OpFOrdLessThan, s.Bool, x, half), left, right)
+		b.Begin(left)
+		b.Store(s.Color, x)
+		b.Branch(merge)
+		b.Begin(right)
+		b.Store(s.Color, b.Emit(spirv.OpCompositeConstruct, s.Vec4, x, x, half, one))
+		b.Store(b.AccessChain(ptrF, s.Color, m.EnsureConstantInt(1)), c)
+		b.Branch(merge)
+		b.Begin(merge)
+		b.FinishFragmentShell(s)
+		cases["store-shape-change"] = m
+	}
+	{ // Self-stores: a value loaded from a cell written back to the same
+		// cell, and an array element copied onto its sibling. A snapshot
+		// loaded before the cell is overwritten in place must keep its old
+		// contents.
+		b := spirv.NewBuilder()
+		s := b.BeginFragmentShell()
+		m := b.Mod
+		zero, one := m.EnsureConstantFloat(0), m.EnsureConstantFloat(1)
+		i0, i1 := m.EnsureConstantInt(0), m.EnsureConstantInt(1)
+		arr := m.EnsureTypeArray(s.Vec4, m.EnsureConstantInt(2))
+		ptrV4 := m.EnsureTypePointer(spirv.StoragePrivate, s.Vec4)
+		g := b.GlobalVariable("pair", spirv.StoragePrivate, arr, 0)
+		c := b.Emit(spirv.OpLoad, s.Vec2, s.Coord)
+		x := b.EmitWords(spirv.OpCompositeExtract, s.Float, uint32(c), 0)
+		y := b.EmitWords(spirv.OpCompositeExtract, s.Float, uint32(c), 1)
+		p0, p1 := b.AccessChain(ptrV4, g, i0), b.AccessChain(ptrV4, g, i1)
+		b.Store(p0, b.Emit(spirv.OpCompositeConstruct, s.Vec4, x, y, zero, one))
+		b.Store(p1, b.Emit(spirv.OpCompositeConstruct, s.Vec4, y, x, one, one))
+		snap := b.Emit(spirv.OpLoad, arr, g)
+		b.Store(g, snap)
+		b.Store(p1, b.Emit(spirv.OpLoad, s.Vec4, p0))
+		b.Store(p0, b.Emit(spirv.OpCompositeConstruct, s.Vec4, one, one, one, one))
+		v := b.Emit(spirv.OpLoad, s.Vec4, p1)
+		col := b.Emit(spirv.OpCompositeConstruct, s.Vec4,
+			b.EmitWords(spirv.OpCompositeExtract, s.Float, uint32(v), 0),
+			b.EmitWords(spirv.OpCompositeExtract, s.Float, uint32(v), 1),
+			b.EmitWords(spirv.OpCompositeExtract, s.Float, uint32(snap), 1, 0),
+			b.EmitWords(spirv.OpCompositeExtract, s.Float, uint32(snap), 1, 2))
+		b.Store(s.Color, col)
+		b.Store(s.Color, b.Emit(spirv.OpLoad, s.Vec4, s.Color))
+		b.FinishFragmentShell(s)
+		cases["store-self"] = m
+	}
+	return cases
+}
+
+// TestVMDiffInPlaceStores pins the VMs' in-place OpStore to the
+// tree-walker's replace-with-clone semantics at every worker count and lane
+// width.
+func TestVMDiffInPlaceStores(t *testing.T) {
+	in := interp.Inputs{W: 8, H: 64}
+	for name, m := range storeModules() {
+		ref, err := interp.RenderTree(m, in)
+		if err != nil {
+			t.Fatalf("%s: tree walker: %v", name, err)
+		}
+		prog, err := interp.Compile(m)
+		if err != nil {
+			t.Fatalf("%s: compile: %v", name, err)
+		}
+		for _, workers := range []int{1, 2, 4, 8, 16, 64} {
+			img, err := prog.RenderParallel(in, workers)
+			if err != nil || !ref.Equal(img) {
+				t.Fatalf("%s workers=%d: image differs from tree reference (err %v)", name, workers, err)
+			}
+			for _, lanes := range laneWidths {
+				img, _, err := prog.RenderParallelLanes(in, workers, lanes)
+				if err != nil || !ref.Equal(img) {
+					t.Fatalf("%s lanes=%d workers=%d: image differs from tree reference (err %v)", name, lanes, workers, err)
+				}
+			}
+		}
+	}
+}

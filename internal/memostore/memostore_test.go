@@ -480,8 +480,10 @@ func TestFlightDo(t *testing.T) {
 			}
 		}()
 	}
-	// Let followers pile up behind the leader, then release.
-	for s.flightLen() == 0 {
+	// Release the leader only once the other 7 callers are parked on its
+	// flight: a caller that reached Do after the flight ended would
+	// (correctly) start a fresh one.
+	for s.flightWaiters(k) < 7 {
 		runtime.Gosched()
 	}
 	close(release)

@@ -11,25 +11,21 @@ import (
 // and low 16 bits the opcode.
 
 // EncodeWords serialises the module to SPIR-V words.
-func (m *Module) EncodeWords() []uint32 {
-	words := []uint32{Magic, m.Version, Generator, uint32(m.Bound), 0}
-	emit := func(ins *Instruction) {
-		n := 1 + len(ins.Operands)
-		if ins.Type != 0 {
-			n++
-		}
-		if ins.Result != 0 {
-			n++
-		}
-		words = append(words, uint32(n)<<16|uint32(ins.Op))
-		if ins.Type != 0 {
-			words = append(words, uint32(ins.Type))
-		}
-		if ins.Result != 0 {
-			words = append(words, uint32(ins.Result))
-		}
-		words = append(words, ins.Operands...)
-	}
+func (m *Module) EncodeWords() []uint32 { return m.appendWords(nil) }
+
+// EncodeBytes serialises the module to little-endian bytes (the on-disk
+// .spv format).
+func (m *Module) EncodeBytes() []byte {
+	words := m.EncodeWords()
+	return appendLE(make([]byte, 0, 4*len(words)), words)
+}
+
+// appendWords appends the module's SPIR-V words to dst. Block labels and
+// function ends are encoded from stack values rather than heap
+// instructions, so encoding into a reused buffer allocates nothing.
+func (m *Module) appendWords(dst []uint32) []uint32 {
+	dst = append(dst, Magic, m.Version, Generator, uint32(m.Bound), 0)
+	emit := func(ins *Instruction) { dst = appendInstr(dst, ins) }
 	for _, ins := range m.Capabilities {
 		emit(ins)
 	}
@@ -57,23 +53,40 @@ func (m *Module) EncodeWords() []uint32 {
 			emit(p)
 		}
 		for _, b := range fn.Blocks {
-			emit(NewInstr(OpLabel, 0, b.Label))
+			dst = appendInstr(dst, &Instruction{Op: OpLabel, Result: b.Label})
 			b.Instructions(emit)
 		}
-		emit(NewInstr(OpFunctionEnd, 0, 0))
+		dst = appendInstr(dst, &Instruction{Op: OpFunctionEnd})
 	}
-	return words
+	return dst
 }
 
-// EncodeBytes serialises the module to little-endian bytes (the on-disk
-// .spv format).
-func (m *Module) EncodeBytes() []byte {
-	words := m.EncodeWords()
-	buf := make([]byte, 4*len(words))
-	for i, w := range words {
-		binary.LittleEndian.PutUint32(buf[4*i:], w)
+// appendInstr appends one instruction's words: the word-count/opcode word,
+// the result type and result id when present, then the operands.
+func appendInstr(dst []uint32, ins *Instruction) []uint32 {
+	n := 1 + len(ins.Operands)
+	if ins.Type != 0 {
+		n++
 	}
-	return buf
+	if ins.Result != 0 {
+		n++
+	}
+	dst = append(dst, uint32(n)<<16|uint32(ins.Op))
+	if ins.Type != 0 {
+		dst = append(dst, uint32(ins.Type))
+	}
+	if ins.Result != 0 {
+		dst = append(dst, uint32(ins.Result))
+	}
+	return append(dst, ins.Operands...)
+}
+
+// appendLE appends words to dst as little-endian bytes.
+func appendLE(dst []byte, words []uint32) []byte {
+	for _, w := range words {
+		dst = binary.LittleEndian.AppendUint32(dst, w)
+	}
+	return dst
 }
 
 // DecodeBytes parses a little-endian .spv binary.

@@ -1,6 +1,9 @@
 package spirv
 
-import "crypto/sha256"
+import (
+	"crypto/sha256"
+	"sync"
+)
 
 // Fingerprint returns the SHA-256 of the module's canonical binary encoding
 // (EncodeBytes), computed lazily and cached in the module. The execution
@@ -26,10 +29,24 @@ func (m *Module) Fingerprint() [sha256.Size]byte {
 	if p := m.fp.Load(); p != nil {
 		return *p
 	}
-	h := sha256.Sum256(m.EncodeBytes())
+	b := encodePool.Get().(*encodeBuf)
+	b.words = m.appendWords(b.words[:0])
+	b.bytes = appendLE(b.bytes[:0], b.words)
+	h := sha256.Sum256(b.bytes)
+	encodePool.Put(b)
 	m.fp.Store(&h)
 	return h
 }
+
+// encodeBuf is Fingerprint's reusable encoding scratch: the word stream and
+// its little-endian byte image, hashed exactly as EncodeBytes would return
+// it.
+type encodeBuf struct {
+	words []uint32
+	bytes []byte
+}
+
+var encodePool = sync.Pool{New: func() any { return new(encodeBuf) }}
 
 // InvalidateFingerprint discards the cached fingerprint; the next
 // Fingerprint call re-encodes and re-hashes the module.

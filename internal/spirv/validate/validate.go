@@ -67,17 +67,20 @@ func (v *validator) checkHeaderAndIDs() error {
 		return errf("module.memory-model", "module has no OpMemoryModel")
 	}
 	v.defs = make(map[spirv.ID]*spirv.Instruction)
-	var dup error
+	var first error
 	record := func(ins *spirv.Instruction) {
+		if first == nil {
+			first = checkArity(ins)
+		}
 		if ins.Result == 0 {
 			return
 		}
-		if dup == nil {
+		if first == nil {
 			if _, ok := v.defs[ins.Result]; ok {
-				dup = errf("ssa.duplicate-id", "id %%%d defined more than once", ins.Result)
+				first = errf("ssa.duplicate-id", "id %%%d defined more than once", ins.Result)
 			}
 			if ins.Result >= v.m.Bound {
-				dup = errf("module.bound", "id %%%d exceeds bound %d", ins.Result, v.m.Bound)
+				first = errf("module.bound", "id %%%d exceeds bound %d", ins.Result, v.m.Bound)
 			}
 		}
 		v.defs[ins.Result] = ins
@@ -88,7 +91,7 @@ func (v *validator) checkHeaderAndIDs() error {
 			record(spirv.NewInstr(spirv.OpLabel, 0, b.Label))
 		}
 	}
-	return dup
+	return first
 }
 
 func (v *validator) def(id spirv.ID) *spirv.Instruction { return v.defs[id] }
@@ -96,6 +99,25 @@ func (v *validator) def(id spirv.ID) *spirv.Instruction { return v.defs[id] }
 func (v *validator) isType(id spirv.ID) bool {
 	d := v.def(id)
 	return d != nil && d.Op.IsType()
+}
+
+// checkArity rejects an instruction with fewer operand words than its
+// signature's fixed operands, so later checks and the module helpers they
+// call can index those operands without bounds checks. Type instructions
+// must match exactly unless variadic: helpers read their operands
+// positionally.
+func checkArity(ins *spirv.Instruction) error {
+	sig, _ := spirv.Sig(ins.Op)
+	n, want := len(ins.Operands), len(sig.Fixed)
+	switch {
+	case ins.Op.IsType() && len(sig.Variadic) > 0 && n < want:
+		return errf("type.operands", "%s %%%d has %d operands, want at least %d", ins.Op, ins.Result, n, want)
+	case ins.Op.IsType() && len(sig.Variadic) == 0 && n != want:
+		return errf("type.operands", "%s %%%d has %d operands, want %d", ins.Op, ins.Result, n, want)
+	case n < want:
+		return errf("ins.operands", "%s has %d operands, want at least %d", ins.Op, n, want)
+	}
+	return nil
 }
 
 // checkTypesGlobals validates the module-scope section: types, constants,

@@ -267,3 +267,47 @@ func TestDetectsReturnValueInVoidFunction(t *testing.T) {
 	last.Term = spirv.NewInstr(spirv.OpReturnValue, 0, 0, uint32(c))
 	wantErr(t, m, "term.return-type")
 }
+
+// truncateOperand drops the last operand word of the first instruction with
+// opcode op in the module's binary, fixing up its word count, so decoding
+// yields that instruction one operand short.
+func truncateOperand(t *testing.T, m *spirv.Module, op spirv.Opcode) []uint32 {
+	t.Helper()
+	words := m.EncodeWords()
+	for pos := 5; pos < len(words); {
+		wc := int(words[pos] >> 16)
+		if spirv.Opcode(words[pos]&0xFFFF) == op {
+			out := append([]uint32(nil), words[:pos+wc-1]...)
+			out[pos] = uint32(wc-1)<<16 | uint32(op)
+			return append(out, words[pos+wc:]...)
+		}
+		pos += wc
+	}
+	t.Fatalf("module has no %s", op)
+	return nil
+}
+
+func TestTruncatedTypeOperandsRejected(t *testing.T) {
+	for _, op := range []spirv.Opcode{spirv.OpTypePointer, spirv.OpTypeVector, spirv.OpTypeInt, spirv.OpTypeFunction} {
+		m, err := spirv.DecodeWords(truncateOperand(t, testmod.Diamond(), op))
+		if err != nil {
+			t.Fatalf("%s: decode: %v", op, err)
+		}
+		wantErr(t, m, "type.operands")
+	}
+}
+
+// FuzzDecodeValidate asserts that validation reports malformed input as an
+// error, never a panic, for anything the binary decoder accepts.
+func FuzzDecodeValidate(f *testing.F) {
+	for _, m := range testmod.All() {
+		f.Add(m.EncodeBytes())
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		m, err := spirv.DecodeBytes(data)
+		if err != nil {
+			return
+		}
+		_ = validate.Module(m) // the property is the absence of a panic
+	})
+}

@@ -19,6 +19,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strconv"
 	"sync/atomic"
 )
 
@@ -33,6 +34,11 @@ import (
 type Store struct {
 	root    string
 	journal *Journal
+
+	// fanout marks the blobs/xx directories this Store has created or found,
+	// indexed by the hash's leading byte, so only the first put into each
+	// directory pays for a MkdirAll.
+	fanout [256]atomic.Bool
 
 	blobsWritten atomic.Uint64
 	blobBytes    atomic.Uint64
@@ -136,8 +142,8 @@ func (s *Store) PutBlob(data []byte) (string, error) {
 		s.blobDedup.Add(1)
 		return hash, nil
 	}
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		return "", fmt.Errorf("store: %w", err)
+	if err := s.ensureFanout(hash, filepath.Dir(path)); err != nil {
+		return "", err
 	}
 	// Write-temp-then-rename: a crash mid-write leaves a stray temp file,
 	// never a truncated blob under a valid content address.
@@ -161,6 +167,22 @@ func (s *Store) PutBlob(data []byte) (string, error) {
 	s.blobsWritten.Add(1)
 	s.blobBytes.Add(uint64(len(data)))
 	return hash, nil
+}
+
+// ensureFanout creates dir, the fan-out directory of a well-formed hash,
+// unless this Store already has. Racing first puts both call MkdirAll, which
+// is idempotent.
+func (s *Store) ensureFanout(hash, dir string) error {
+	i, _ := strconv.ParseUint(hash[:2], 16, 8)
+	made := &s.fanout[i]
+	if made.Load() {
+		return nil
+	}
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return fmt.Errorf("store: %w", err)
+	}
+	made.Store(true)
+	return nil
 }
 
 // GetBlob returns the blob stored under hash.

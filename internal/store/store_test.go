@@ -82,6 +82,58 @@ func TestBlobConcurrentPut(t *testing.T) {
 	wg.Wait()
 }
 
+// TestBlobFanoutAcrossReopen puts enough blobs to touch most of the 256
+// fan-out directories, then reopens the store: the new Store starts with an
+// empty directory set, so its first put into each existing directory must
+// succeed, and every blob must still read back.
+func TestBlobFanoutAcrossReopen(t *testing.T) {
+	dir := t.TempDir()
+	put := func(s *Store, from, to int) map[string][]byte {
+		t.Helper()
+		blobs := make(map[string][]byte)
+		for i := from; i < to; i++ {
+			data := []byte(fmt.Sprintf("fanout-%d", i))
+			h, err := s.PutBlob(data)
+			if err != nil {
+				t.Fatal(err)
+			}
+			blobs[h] = data
+		}
+		return blobs
+	}
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := put(s, 0, 1000)
+	s.Close()
+	fans, err := os.ReadDir(filepath.Join(dir, "blobs"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(fans) < 200 {
+		t.Fatalf("1000 puts created only %d fan-out directories", len(fans))
+	}
+
+	s, err = Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	second := put(s, 500, 1500) // half already stored, half new
+	if st := s.Stats(); st.BlobDedupHits != 500 || st.BlobsWritten != 500 {
+		t.Fatalf("reopened stats = %+v, want 500 dedup / 500 written", st)
+	}
+	for _, blobs := range []map[string][]byte{first, second} {
+		for h, data := range blobs {
+			got, err := s.GetBlob(h)
+			if err != nil || !bytes.Equal(got, data) {
+				t.Fatalf("blob %s after reopen: %v", h, err)
+			}
+		}
+	}
+}
+
 func TestJournalAppendReplay(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(dir)
