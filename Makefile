@@ -28,10 +28,10 @@ test-cluster:
 	$(GO) test -count=1 -run 'TestSpirvdCluster|TestSpirvdCoordinatorLocalNodes' .
 
 # The pipelined transport gets a dedicated race pass: the bitwise-identity
-# matrix (prefetch × compression × batching × node count must all merge the
-# same buckets), lease-steal and kill-mid-prefetch fault injection with the
-# duplicate-report guard, the gzip wire accounting round trip, and the
-# jittered idle backoff ladder.
+# matrix (prefetch on and off × node count must all merge the same buckets),
+# lease-steal and kill-mid-prefetch fault injection with the duplicate-report
+# guard, the gzip wire accounting round trip, and the jittered idle backoff
+# ladder.
 test-transport:
 	$(GO) test -race -count=1 -run 'Pipeline|Prefetch|LeaseSteal|Transport|Backoff' ./internal/cluster/...
 	$(GO) test -count=1 -run 'TestSpirvdClusterKillRejoin' .
@@ -79,12 +79,13 @@ baseline:
 # speedup metric (parallel reduction over serial; prefix-snapshot replay over
 # fresh replay; journal resume over a fresh campaign; batched RunAll over a
 # per-target compile loop; the register VM over the tree-walker; lane-mode
-# rendering over the scalar VM; a warm memo repeat campaign over cold)
-# regresses below 0.75x its value in the committed BENCH_pr10.json
-# trajectory point — loose enough for machine noise, tight enough to catch
-# a disabled cache, a resume that silently re-runs journaled work, compile
-# sharing gone, the VM degenerating to tree-walker speed, or lane mode
-# losing its amortization (speedup ~1.0). A second pass guards absolute
+# rendering over the scalar VM; a warm memo repeat campaign over cold; the
+# pipelined cluster worker loop over the serial one) regresses below 0.75x
+# its value in the committed BENCH_pr13.json trajectory point — loose enough
+# for machine noise, tight enough to catch a disabled cache, a resume that
+# silently re-runs journaled work, compile sharing gone, the VM degenerating
+# to tree-walker speed, lane mode losing its amortization, or shard prefetch
+# no longer overlapping sync with execution (speedup ~1.0). A second pass guards absolute
 # parallel-reduction time: ns/op must not blow past 1.5x the recorded
 # value. A third guards lane-render allocations: allocs/op above 1.5x
 # baseline means the lane buffer reuse across tiles broke. A fourth guards
@@ -97,37 +98,42 @@ baseline:
 # cache-hit fraction of BenchmarkBisectCampaign falling below 0.95x
 # baseline means bisect probes stopped reusing compile keys, and the
 # warm-hit-frac of BenchmarkMemoWarmCampaign falling below 0.95x means the
-# persistent memo tier stopped serving a warm repeat from disk. The last
-# pass guards the pipelined transport's wire economy in max mode: the
-# wire-frac of BenchmarkClusterPipeline (batched+gzipped bytes over the
-# legacy protocol's) blowing past 1.5x baseline means batching or
-# compression silently stopped shrinking the protocol — its speedup floor
-# rides in the default min-mode speedup pass like every other ratio.
+# persistent memo tier stopped serving a warm repeat from disk. The last two
+# passes guard the pipelined cluster transport in max mode: wire-kb (total
+# bytes on the wire of BenchmarkClusterPipeline's pipelined 3-node leg)
+# above 1.5x baseline means batching or compression silently stopped
+# shrinking the sync protocol, and pipelined-ms (that leg's wall time under
+# 20 ms injected latency) above 1.5x means the pipeline stopped hiding
+# round trips. BENCH_pr13.json is a three-pass merge keeping each guarded
+# metric's worst value in its gate direction.
 bench-compare:
 	$(GO) test -short -run '^$$' -bench 'Reduce|Replay|Resume|RunAll|InterpVM|Cluster|Bisect|Memo' -benchtime=1x -benchmem . \
 		| tee /dev/stderr | awk -f scripts/bench2json.awk > /tmp/bench-current.json
-	$(GO) run ./scripts/benchcompare -baseline BENCH_pr10.json \
+	$(GO) run ./scripts/benchcompare -baseline BENCH_pr13.json \
 		-current /tmp/bench-current.json
-	$(GO) run ./scripts/benchcompare -baseline BENCH_pr10.json \
+	$(GO) run ./scripts/benchcompare -baseline BENCH_pr13.json \
 		-current /tmp/bench-current.json -metric ns/op -mode max -tolerance 1.5 \
 		-only BenchmarkRunnerParallelReduce
-	$(GO) run ./scripts/benchcompare -baseline BENCH_pr10.json \
+	$(GO) run ./scripts/benchcompare -baseline BENCH_pr13.json \
 		-current /tmp/bench-current.json -metric allocs/op -mode max -tolerance 1.5 \
 		-only BenchmarkInterpVMLanes/uniform/l8
-	$(GO) run ./scripts/benchcompare -baseline BENCH_pr10.json \
+	$(GO) run ./scripts/benchcompare -baseline BENCH_pr13.json \
 		-current /tmp/bench-current.json -metric B/op -mode max -tolerance 1.5 \
 		-only BenchmarkRunnerParallelReduce,BenchmarkInterpVM
-	$(GO) run ./scripts/benchcompare -baseline BENCH_pr10.json \
+	$(GO) run ./scripts/benchcompare -baseline BENCH_pr13.json \
 		-current /tmp/bench-current.json -metric dedup-frac -mode min -tolerance 0.95 \
 		-only BenchmarkClusterCampaign
-	$(GO) run ./scripts/benchcompare -baseline BENCH_pr10.json \
+	$(GO) run ./scripts/benchcompare -baseline BENCH_pr13.json \
 		-current /tmp/bench-current.json -metric hit-frac -mode min -tolerance 0.95 \
 		-only BenchmarkBisectCampaign
-	$(GO) run ./scripts/benchcompare -baseline BENCH_pr10.json \
+	$(GO) run ./scripts/benchcompare -baseline BENCH_pr13.json \
 		-current /tmp/bench-current.json -metric warm-hit-frac -mode min -tolerance 0.95 \
 		-only BenchmarkMemoWarmCampaign
-	$(GO) run ./scripts/benchcompare -baseline BENCH_pr10.json \
-		-current /tmp/bench-current.json -metric wire-frac -mode max -tolerance 1.5 \
+	$(GO) run ./scripts/benchcompare -baseline BENCH_pr13.json \
+		-current /tmp/bench-current.json -metric wire-kb -mode max -tolerance 1.5 \
+		-only BenchmarkClusterPipeline
+	$(GO) run ./scripts/benchcompare -baseline BENCH_pr13.json \
+		-current /tmp/bench-current.json -metric pipelined-ms -mode max -tolerance 1.5 \
 		-only BenchmarkClusterPipeline
 
 # CPU- and memory-profile the parallel-reduction campaign benchmark and

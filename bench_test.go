@@ -1674,8 +1674,9 @@ func BenchmarkClusterCampaign(b *testing.B) {
 // latency on every worker-protocol request — the latency-bound regime the
 // pipelined transport exists for — and returns the campaign wall-clock, the
 // marshaled buckets, the coordinator metrics, and the process-wide wire
-// traffic the leg produced. pipelined toggles the whole transport stack at
-// once: shard prefetch, gzip negotiation, batched sync, adaptive shards.
+// traffic the leg produced. Every leg speaks the one batched, gzipped sync
+// protocol; pipelined toggles shard prefetch (with its asynchronous report)
+// and adaptive shard sizing, so the serial leg is the prefetch-off loop.
 func clusterPipelineLeg(b testing.TB, nodes int, pipelined bool, spec service.CampaignSpec) (time.Duration, string, cluster.Metrics, cluster.WireStats) {
 	b.Helper()
 	st, err := store.Open(b.TempDir())
@@ -1693,8 +1694,8 @@ func clusterPipelineLeg(b testing.TB, nodes int, pipelined bool, spec service.Ca
 		Nodes: nodes, Dir: b.TempDir(), WorkersPer: 1,
 		Latency: 20 * time.Millisecond,
 		Worker: func(w *cluster.WorkerOptions) {
-			w.Prefetch, w.Compress, w.Batch = pipelined, pipelined, pipelined
-			// Cap the idle backoff (same for both protocols) so phase
+			w.Prefetch = pipelined
+			// Cap the idle backoff (same for both legs) so phase
 			// transitions measure the transport, not the poll ladder.
 			w.Poll, w.PollMax = 5*time.Millisecond, 40*time.Millisecond
 		},
@@ -1734,33 +1735,36 @@ func clusterPipelineLeg(b testing.TB, nodes int, pipelined bool, spec service.Ca
 	return elapsed, fmt.Sprintf("%+v", sets), co.Metrics(), cluster.SnapshotWire().Sub(wireBefore)
 }
 
-// BenchmarkClusterPipeline measures what the pipelined transport buys on
-// latency-bound shards: the same campaign over 3-node clusters speaking the
-// serial per-endpoint protocol vs the pipelined one (prefetch + batched,
-// compressed sync + adaptive shards), with every worker-protocol round trip
-// paying 20ms of injected latency. A pipelined 1-node leg is timed alongside
-// to expose the node-scaling of the pipelined loop itself.
+// BenchmarkClusterPipeline measures what shard prefetch buys on
+// latency-bound shards: the same campaign over 3-node clusters running the
+// serial worker loop (prefetch off) vs the pipelined one (prefetch with an
+// asynchronous report, plus adaptive shards), with every worker-protocol
+// round trip paying 20ms of injected latency. Both legs speak the batched,
+// gzipped sync protocol. A pipelined 1-node leg is timed alongside to expose
+// the node-scaling of the pipelined loop itself.
 //
 // Shape targets: all bucket sets bitwise-identical, the pipelined 3-node run
-// >= 1.5x faster than the serial 3-node run, and its bytes on the wire at
-// most half the serial protocol's.
+// >= 1.2x faster than the serial 3-node run, and its bytes on the wire at
+// most half their raw JSON size. wire-kb (the pipelined 3-node leg's total
+// wire bytes) and pipelined-ms are reported for max-mode guards.
 func BenchmarkClusterPipeline(b *testing.B) {
 	spec := service.CampaignSpec{Tests: 24}
 	if testing.Short() {
 		spec.Tests = 16
 	}
-	var speedup, wireFrac, nodeSpeedup float64
+	var speedup, nodeSpeedup float64
+	var tp time.Duration
+	var wp cluster.WireStats
 	for i := 0; i < b.N; i++ {
-		var ts, tp, t1 time.Duration
+		var ts, t1 time.Duration
 		var bks, bkp, bk1 string
 		var mp cluster.Metrics
-		var ws, wp cluster.WireStats
 		for rep := 0; rep < 2; rep++ { // best-of-two against CPU-contention spikes
-			ds, s, _, w := clusterPipelineLeg(b, 3, false, spec)
+			ds, s, _, _ := clusterPipelineLeg(b, 3, false, spec)
 			dp, p, m, pw := clusterPipelineLeg(b, 3, true, spec)
 			d1, one, _, _ := clusterPipelineLeg(b, 1, true, spec)
 			if rep == 0 || ds < ts {
-				ts, bks, ws = ds, s, w
+				ts, bks = ds, s
 			}
 			if rep == 0 || dp < tp {
 				tp, bkp, mp, wp = dp, p, m, pw
@@ -1773,20 +1777,19 @@ func BenchmarkClusterPipeline(b *testing.B) {
 			b.Fatalf("bucket sets differ across transport configurations:\nserial   %s\npipelined %s\n1-node   %s", bks, bkp, bk1)
 		}
 		speedup = ts.Seconds() / tp.Seconds()
-		wireFrac = float64(wp.WireBytesOut+wp.WireBytesIn) / float64(ws.WireBytesOut+ws.WireBytesIn)
 		nodeSpeedup = t1.Seconds() / tp.Seconds()
-		if speedup < 1.5 {
-			b.Fatalf("pipelined speedup %.2fx, want >= 1.5x (serial %v, pipelined %v)", speedup, ts, tp)
+		if speedup < 1.2 {
+			b.Fatalf("pipelined speedup %.2fx, want >= 1.2x (serial %v, pipelined %v)", speedup, ts, tp)
 		}
-		if wireFrac > 0.5 {
-			b.Fatalf("pipelined wire bytes %.2fx of serial, want <= 0.5x (serial %d, pipelined %d)",
-				wireFrac, ws.WireBytesOut+ws.WireBytesIn, wp.WireBytesOut+wp.WireBytesIn)
+		if frac := wp.WireFraction(); frac > 0.5 {
+			b.Fatalf("pipelined wire bytes %.2fx of raw, want <= 0.5x: %+v", frac, wp)
 		}
 		if mp.Cluster.Sync.Prefetched == 0 {
 			b.Fatalf("pipelined leg reported no prefetched shards: %+v", mp.Cluster.Sync)
 		}
 	}
 	b.ReportMetric(speedup, "speedup")
-	b.ReportMetric(wireFrac, "wire-frac")
+	b.ReportMetric(float64(wp.WireBytesOut+wp.WireBytesIn)/1024, "wire-kb")
+	b.ReportMetric(float64(tp.Microseconds())/1000, "pipelined-ms")
 	b.ReportMetric(nodeSpeedup, "node-speedup")
 }

@@ -1320,12 +1320,11 @@ func (co *Coordinator) Metrics() Metrics {
 // MemoStore returns the coordinator's memo-sync hub store, nil without one.
 func (co *Coordinator) MemoStore() *memostore.Store { return co.memo }
 
-// SyncBatch serves one batched /cluster/sync exchange: pushes land first
-// (blobs, then memo records), then the folded shard result — so merged
-// records always find their blobs already in the store — then the node's
-// leases renew (a batched exchange doubles as a heartbeat), then the
-// queries answer. Every leg is optional; the legacy per-endpoint protocol
-// remains served for mixed-version clusters.
+// SyncBatch serves one /cluster/sync exchange: pushes land first (blobs,
+// then memo records), then the folded shard result — so merged records
+// always find their blobs already in the store — then the node's leases
+// renew (a sync exchange doubles as a heartbeat), then the queries answer.
+// Every leg is optional.
 func (co *Coordinator) SyncBatch(req syncRequest) (syncResponse, error) {
 	var resp syncResponse
 	if len(req.BlobPush) > 0 {
@@ -1334,8 +1333,6 @@ func (co *Coordinator) SyncBatch(req syncRequest) (syncResponse, error) {
 		}
 	}
 	if len(req.MemoPush) > 0 {
-		// Memo records are an optimization; a bad record drops rather than
-		// failing the exchange (which carries the shard result).
 		co.memoPush(req.MemoPush)
 	}
 	if req.Result != nil {
@@ -1365,24 +1362,17 @@ func (co *Coordinator) SyncBatch(req syncRequest) (syncResponse, error) {
 		}
 	}
 	if req.MemoSince != nil {
-		kr := co.memoKeys(*req.MemoSince)
-		resp.MemoOK = kr.OK
-		resp.MemoKeys = kr.Keys
-		resp.MemoMark = kr.Mark
+		resp.MemoKeys, resp.MemoMark, resp.MemoOK = co.memoKeys(*req.MemoSince)
 	}
 	if len(req.MemoFetch) > 0 {
-		fr, err := co.memoFetch(req.MemoFetch)
+		recs, err := co.memoFetch(req.MemoFetch)
 		if err != nil {
 			return resp, err
 		}
-		resp.MemoRecords = fr.Records
+		resp.MemoRecords = recs
 	}
 	if len(req.MemoOffer) > 0 {
-		hr := co.memoHas(req.MemoOffer)
-		resp.MemoWant = make([]bool, len(hr.Has))
-		for i, h := range hr.Has {
-			resp.MemoWant[i] = !h
-		}
+		resp.MemoWant = co.memoWant(req.MemoOffer)
 	}
 	resp.OK = true
 	return resp, nil

@@ -16,23 +16,22 @@ import (
 	"spirvfuzz/internal/store"
 )
 
-// TestClusterPipelineIdentityMatrix is the transport property test: every
-// combination of prefetch × compression/batching × node count must produce
-// buckets bitwise-identical to the single-node service. The transport layers
-// move bytes and overlap waits; they are never allowed to change results.
+// TestClusterPipelineIdentityMatrix is the transport property test: prefetch
+// on and off × node count must produce buckets bitwise-identical to the
+// single-node service. Both loops speak the one batched, gzipped sync
+// protocol ("compress-batch" is the serial loop); the transport moves bytes
+// and overlaps waits, and is never allowed to change results.
 func TestClusterPipelineIdentityMatrix(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second cluster test")
 	}
 	want := referenceBuckets(t)
 	configs := []struct {
-		name                      string
-		prefetch, compress, batch bool
+		name     string
+		prefetch bool
 	}{
-		{"legacy", false, false, false},
-		{"prefetch", true, false, false},
-		{"compress-batch", false, true, true},
-		{"pipelined", true, true, true},
+		{"compress-batch", false},
+		{"pipelined", true},
 	}
 	for _, cfg := range configs {
 		for _, nodes := range []int{1, 3} {
@@ -54,7 +53,7 @@ func TestClusterPipelineIdentityMatrix(t *testing.T) {
 				sim, err := StartSimCfg(co, SimConfig{
 					Nodes: nodes, Dir: t.TempDir(), WorkersPer: 2,
 					Worker: func(w *WorkerOptions) {
-						w.Prefetch, w.Compress, w.Batch = cfg.prefetch, cfg.compress, cfg.batch
+						w.Prefetch = cfg.prefetch
 					},
 				})
 				if err != nil {
@@ -293,10 +292,9 @@ func TestWorkerIdleBackoff(t *testing.T) {
 }
 
 // TestTransportGzipRoundTrip drives postWire against a real coordinator mux
-// and checks the negotiated compression and its accounting: compressible
-// bodies shrink on the wire in both directions, and with compression off the
-// wire bytes equal the raw bytes (the transport must not gzip behind the
-// counters' back).
+// and checks the compression and its accounting: compressible bodies above
+// the size floor shrink on the wire in both directions, and a body below it
+// travels identity-coded with wire bytes equal to raw bytes.
 func TestTransportGzipRoundTrip(t *testing.T) {
 	st, err := store.Open(t.TempDir())
 	if err != nil {
@@ -314,22 +312,22 @@ func TestTransportGzipRoundTrip(t *testing.T) {
 	hc := newWorkerClient()
 	ctx := context.Background()
 	blob := bytes.Repeat([]byte("spirv-transform-sequence "), 1024) // highly compressible, ~25 KiB
+	hash := store.HashBytes(blob)
 
-	var put putResponse
 	var upSync SyncStats
-	if _, err := postWire(ctx, hc, srv.URL, "/blobs/put", putRequest{Blobs: [][]byte{blob}}, &put, true, &upSync); err != nil {
+	if _, err := postWire(ctx, hc, srv.URL, "/cluster/sync", syncRequest{BlobPush: [][]byte{blob}}, &syncResponse{}, &upSync); err != nil {
 		t.Fatal(err)
 	}
-	if len(put.Hashes) != 1 {
-		t.Fatalf("put returned %d hashes", len(put.Hashes))
+	if !st.HasBlob(hash) {
+		t.Fatalf("pushed blob %s not stored", hash)
 	}
 	if upSync.WireBytesOut >= upSync.RawBytesOut {
 		t.Fatalf("compressible request did not shrink: wire %d raw %d", upSync.WireBytesOut, upSync.RawBytesOut)
 	}
 
-	var fetch fetchResponse
+	var fetch syncResponse
 	var downSync SyncStats
-	if _, err := postWire(ctx, hc, srv.URL, "/blobs/fetch", fetchRequest{Hashes: put.Hashes}, &fetch, true, &downSync); err != nil {
+	if _, err := postWire(ctx, hc, srv.URL, "/cluster/sync", syncRequest{BlobFetch: []string{hash}}, &fetch, &downSync); err != nil {
 		t.Fatal(err)
 	}
 	if len(fetch.Blobs) != 1 || !bytes.Equal(fetch.Blobs[0], blob) {
@@ -339,16 +337,16 @@ func TestTransportGzipRoundTrip(t *testing.T) {
 		t.Fatalf("compressible response did not shrink: wire %d raw %d", downSync.WireBytesIn, downSync.RawBytesIn)
 	}
 
-	var plain fetchResponse
-	var plainSync SyncStats
-	if _, err := postWire(ctx, hc, srv.URL, "/blobs/fetch", fetchRequest{Hashes: put.Hashes}, &plain, false, &plainSync); err != nil {
+	var small syncResponse
+	var smallSync SyncStats
+	if _, err := postWire(ctx, hc, srv.URL, "/cluster/sync", syncRequest{BlobOffer: []BlobRef{{Hash: hash, Size: int64(len(blob))}}}, &small, &smallSync); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(plain.Blobs[0], blob) {
-		t.Fatalf("uncompressed fetch differs from stored blob")
+	if len(small.BlobWant) != 1 || small.BlobWant[0] {
+		t.Fatalf("offer of a stored blob: want [false], got %v", small.BlobWant)
 	}
-	if plainSync.WireBytesIn != plainSync.RawBytesIn || plainSync.WireBytesOut != plainSync.RawBytesOut {
-		t.Fatalf("compression off but wire != raw: %+v", plainSync)
+	if smallSync.WireBytesIn != smallSync.RawBytesIn || smallSync.WireBytesOut != smallSync.RawBytesOut {
+		t.Fatalf("body below the %d-byte floor was compressed: %+v", gzipMinBytes, smallSync)
 	}
 }
 

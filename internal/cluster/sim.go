@@ -9,6 +9,8 @@ import (
 	"strings"
 	"sync"
 	"time"
+
+	"spirvfuzz/internal/service"
 )
 
 // Sim is a simulated in-process cluster: one coordinator served over a real
@@ -43,18 +45,17 @@ type SimConfig struct {
 	// WorkersPer sizes each worker's engine pool (0 = GOMAXPROCS).
 	WorkersPer int
 	// Latency, when > 0, is injected into every worker-protocol request
-	// (/cluster/, /blobs/, /memo/ paths) before it is served — a loopback
-	// stand-in for a real network round trip. Campaign-API requests are not
+	// (/cluster/ paths) before it is served — a loopback stand-in for a
+	// real network round trip. Campaign-API requests are not
 	// delayed, so tests polling for completion stay fast.
 	Latency time.Duration
 	// Worker, when non-nil, edits each worker's options before it starts
-	// (e.g. to turn the pipelined transport off for a baseline leg).
+	// (e.g. to turn shard prefetch off for a baseline leg).
 	Worker func(*WorkerOptions)
 }
 
 // StartSim serves co on a loopback listener and spawns n workers against it
-// with the pipelined transport on (prefetch + batched, compressed sync) —
-// the production default.
+// with shard prefetch on — the production default.
 func StartSim(co *Coordinator, n int, dir string, workersPer int) (*Sim, error) {
 	return StartSimCfg(co, SimConfig{Nodes: n, Dir: dir, WorkersPer: workersPer})
 }
@@ -76,7 +77,7 @@ func StartSimCfg(co *Coordinator, cfg SimConfig) (*Sim, error) {
 		workersPer:  cfg.WorkersPer,
 		worker:      cfg.Worker,
 		ln:          ln,
-		srv:         &http.Server{Handler: handler},
+		srv:         &http.Server{Handler: handler, ReadHeaderTimeout: service.ReadHeaderTimeout},
 		cancels:     make(map[string]context.CancelFunc),
 		workers:     make(map[string]*Worker),
 	}
@@ -91,12 +92,11 @@ func StartSimCfg(co *Coordinator, cfg SimConfig) (*Sim, error) {
 }
 
 // latencyMiddleware sleeps d before serving worker-protocol requests,
-// simulating wire latency on the shard/blob/memo exchanges without slowing
+// simulating wire latency on the shard and sync exchanges without slowing
 // the campaign API the tests poll.
 func latencyMiddleware(next http.Handler, d time.Duration) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		p := r.URL.Path
-		if strings.HasPrefix(p, "/cluster/") || strings.HasPrefix(p, "/blobs/") || strings.HasPrefix(p, "/memo/") {
+		if strings.HasPrefix(r.URL.Path, "/cluster/") {
 			time.Sleep(d)
 		}
 		next.ServeHTTP(w, r)
@@ -117,8 +117,6 @@ func (s *Sim) AddWorker() (string, error) {
 		StoreDir:    filepath.Join(s.dir, "node-"+name),
 		Workers:     s.workersPer,
 		Prefetch:    true,
-		Compress:    true,
-		Batch:       true,
 	}
 	// When the coordinator is a memo hub, give every simulated node its own
 	// memo store so the sync protocol runs for real (a rejoining node gets a

@@ -17,11 +17,11 @@ import (
 
 // The worker↔coordinator transport. One tuned http.Transport is shared by
 // every worker client in the process: connections are kept alive and reused
-// across shards (the per-shard protocol is many small JSON posts to one
-// host, the worst case for connection churn), and the per-request bodies are
-// gzip-negotiated above a size floor. Both sides of every exchange are
-// counted — raw JSON bytes vs bytes on the wire, and round trips — so the
-// batching and compression wins are observable in SyncStats and /metrics
+// across shards (the per-shard protocol is a few JSON posts to one host, and
+// a fresh dial per post would double every round trip), and bodies above a
+// size floor travel gzipped in both directions. Both sides of every exchange
+// are counted — raw JSON bytes vs bytes on the wire, and round trips — so
+// the batching and compression wins are observable in SyncStats and /metrics
 // rather than asserted.
 
 // gzipMinBytes is the smallest body worth compressing: below it the gzip
@@ -63,7 +63,7 @@ var sharedTransport = &http.Transport{
 	MaxIdleConns:          64,
 	MaxIdleConnsPerHost:   16,
 	IdleConnTimeout:       90 * time.Second,
-	// Compression is negotiated explicitly (and counted); the transport's
+	// Compression is requested explicitly (and counted); the transport's
 	// transparent mode would hide the wire bytes from the counters.
 	DisableCompression: true,
 }
@@ -87,7 +87,7 @@ type WireStats struct {
 	RawBytesOut  uint64 `json:"raw_bytes_out"`
 	RawBytesIn   uint64 `json:"raw_bytes_in"`
 	// CompressedBodies counts request/response bodies that crossed the wire
-	// gzip-coded (0 when compression is off or every body was tiny).
+	// gzip-coded (0 when every body was below the size floor).
 	CompressedBodies uint64 `json:"compressed_bodies"`
 }
 
@@ -129,20 +129,20 @@ func (s WireStats) WireFraction() float64 {
 	return float64(s.WireBytesOut+s.WireBytesIn) / float64(raw)
 }
 
-// postWire is the counting, compression-negotiating JSON round trip every
-// worker request goes through. The request body is gzip-coded when compress
-// is set and the body clears the size floor; Accept-Encoding advertises
-// whether a gzip response is welcome. Counters accrue into sync (when
-// non-nil) and always into the process-wide totals. Returns the HTTP status
-// (with out decoded on 200) so callers can special-case 204 no-work.
-func postWire(ctx context.Context, hc *http.Client, base, path string, body, out any, compress bool, sync *SyncStats) (int, error) {
+// postWire is the counting, compressing JSON round trip every worker request
+// goes through. The request body is gzip-coded when it clears the size
+// floor, and Accept-Encoding asks for a gzip response on the same terms.
+// Counters accrue into sync (when non-nil) and always into the process-wide
+// totals. Returns the HTTP status (with out decoded on 200) so callers can
+// special-case 204 no-work.
+func postWire(ctx context.Context, hc *http.Client, base, path string, body, out any, sync *SyncStats) (int, error) {
 	raw, err := json.Marshal(body)
 	if err != nil {
 		return 0, err
 	}
 	wire := raw
 	encoding := ""
-	if compress && len(raw) >= gzipMinBytes {
+	if len(raw) >= gzipMinBytes {
 		var buf bytes.Buffer
 		if err := gzipTo(&buf, raw); err != nil {
 			return 0, err
@@ -158,14 +158,7 @@ func postWire(ctx context.Context, hc *http.Client, base, path string, body, out
 	if encoding != "" {
 		req.Header.Set("Content-Encoding", encoding)
 	}
-	if compress {
-		req.Header.Set("Accept-Encoding", "gzip")
-	} else {
-		// Pin the uncompressed protocol end to end: without this the Go
-		// transport would negotiate gzip transparently and the "serial,
-		// uncompressed" baseline would silently get compression for free.
-		req.Header.Set("Accept-Encoding", "identity")
-	}
+	req.Header.Set("Accept-Encoding", "gzip")
 	resp, err := hc.Do(req)
 	if err != nil {
 		return 0, err

@@ -52,16 +52,10 @@ type WorkerOptions struct {
 	// lease (heartbeats are node-wide and renew both); a prefetched shard
 	// the worker never reports simply expires and re-queues, and a
 	// duplicate execution is dropped by the coordinator — merged results
-	// are bitwise-identical to the serial loop either way.
+	// are bitwise-identical to the serial loop either way. Off, the worker
+	// runs the serial loop: lease, sync, execute, report, one shard at a
+	// time — the reference the pipelined loop is measured against.
 	Prefetch bool
-	// Compress negotiates gzip content-coding per request (bodies above a
-	// size floor, both directions).
-	Compress bool
-	// Batch collapses per-shard has/fetch/push chatter into multi-key
-	// /cluster/sync round trips, folding the shard result into the final
-	// one. Off, the worker speaks the per-endpoint protocol unchanged —
-	// a mixed cluster needs no handshake.
-	Batch bool
 }
 
 // prefetched is a shard whose lease and blob sync already happened, plus the
@@ -243,8 +237,8 @@ func (w *Worker) Run(ctx context.Context) error {
 			// coordinator re-queues every in-flight shard.
 			break
 		}
-		if w.opts.Prefetch && w.opts.Batch {
-			// Fully pipelined: the report's round trips overlap the next
+		if w.opts.Prefetch {
+			// Pipelined: the report's round trips overlap the next
 			// shard's execution. At most one report is outstanding, joined
 			// before the next one starts (and before any memo-cursor use),
 			// so the Run loop's state never races the sender.
@@ -355,13 +349,13 @@ func (w *Worker) idleSleep(ctx context.Context) bool {
 // gotWork resets the idle backoff to its floor.
 func (w *Worker) gotWork() { w.idle = 0 }
 
-// speculativePushMax bounds how many produced bytes a batched report will
-// push without a has-negotiation round trip first.
+// speculativePushMax bounds how many produced bytes a report pushes without
+// an offer round trip first.
 const speculativePushMax = 64 << 10
 
 // next asks the coordinator for a shard; false means no work is pending.
 func (w *Worker) next(ctx context.Context, sh *Shard, sync *SyncStats) (bool, error) {
-	status, err := postWire(ctx, w.hc, w.opts.Coordinator, "/cluster/next", nodeRequest{Node: w.opts.Node}, sh, w.opts.Compress, sync)
+	status, err := postWire(ctx, w.hc, w.opts.Coordinator, "/cluster/next", nodeRequest{Node: w.opts.Node}, sh, sync)
 	if err != nil {
 		return false, err
 	}
@@ -369,24 +363,18 @@ func (w *Worker) next(ctx context.Context, sh *Shard, sync *SyncStats) (bool, er
 }
 
 // post sends a JSON request body and decodes a JSON response into out,
-// negotiating compression and accounting the traffic into sync (nil for
-// unattributed requests like heartbeats, which still count process-wide).
+// accounting the traffic into sync (nil for unattributed requests like
+// heartbeats, which still count process-wide).
 func (w *Worker) post(ctx context.Context, path string, body, out any, sync *SyncStats) error {
-	_, err := postWire(ctx, w.hc, w.opts.Coordinator, path, body, out, w.opts.Compress, sync)
+	_, err := postWire(ctx, w.hc, w.opts.Coordinator, path, body, out, sync)
 	return err
 }
 
 // syncShardBlobs pulls every blob the shard references (corpus manifest and
-// extra needs) that the local store lacks. Batched mode collapses it into a
-// single multi-key round trip; otherwise the legacy per-manifest /blobs/fetch
-// exchanges run unchanged.
+// extra needs) that the local store lacks, in one multi-key round trip:
+// every ref counts as referenced bytes, only the locally-missing ones
+// transfer. This is the inbound half of the hash-negotiated sync.
 func (w *Worker) syncShardBlobs(ctx context.Context, sh *Shard, sync *SyncStats) error {
-	if !w.opts.Batch {
-		if err := w.ensureBlobs(ctx, sh.Corpus, sync); err != nil {
-			return err
-		}
-		return w.ensureBlobs(ctx, sh.Needs, sync)
-	}
 	var missing []string
 	seen := map[string]bool{}
 	for _, refs := range [][]BlobRef{sh.Corpus, sh.Needs} {
@@ -475,36 +463,11 @@ func (w *Worker) execute(ctx context.Context, sh *Shard, pre SyncStats) (ShardRe
 	return res, produced
 }
 
-// report delivers a shard result: upload the produced blobs the coordinator
-// lacks, push new memo records, and post the result — as three legacy
-// exchanges, or folded into two batched round trips (offers, then pushes +
-// result). Delivery retries until it lands or ctx ends; re-delivery is safe
-// because the coordinator drops results whose units are already merged.
+// report is the serial loop's delivery (prefetch off): prepare, send, and
+// apply the outcome in place. Delivery retries until it lands or ctx ends;
+// re-delivery is safe because the coordinator drops results whose units are
+// already merged.
 func (w *Worker) report(ctx context.Context, res *ShardResult, produced []string) {
-	if w.opts.Batch {
-		w.reportBatch(ctx, res, produced)
-		return
-	}
-	start := time.Now()
-	if err := w.push(ctx, produced, &res.Sync); err != nil && ctx.Err() == nil && res.Error == "" {
-		res.Error = err.Error()
-	}
-	w.pushMemo(ctx, &res.Sync)
-	res.Sync.Nanos += time.Since(start).Nanoseconds()
-	for ctx.Err() == nil {
-		var ok okResponse
-		// The result round trip itself can't be billed to the result it
-		// carries; it accrues to the next shard via pendingSync.
-		if err := w.post(ctx, "/cluster/result", *res, &ok, &w.pendingSync); err == nil {
-			return
-		}
-		sleepCtx(ctx, w.opts.Poll)
-	}
-}
-
-// reportBatch is the synchronous batched delivery (Batch without Prefetch):
-// prepare, send, apply in place.
-func (w *Worker) reportBatch(ctx context.Context, res *ShardResult, produced []string) {
 	w.applyReport(w.sendReport(ctx, w.prepareReport(res, produced)))
 }
 
@@ -520,8 +483,8 @@ type reportPrep struct {
 	start     time.Time
 }
 
-// prepareReport snapshots everything a batched report needs: the produced
-// blob manifest (with sizes) and the memo keys appended since the last push
+// prepareReport snapshots everything a report needs: the produced blob
+// manifest (with sizes) and the memo keys appended since the last push
 // cursor. Run loop only.
 func (w *Worker) prepareReport(res *ShardResult, produced []string) reportPrep {
 	rep := reportPrep{res: res, start: time.Now()}
@@ -722,83 +685,4 @@ func (w *Worker) decodeRefs(sh *Shard) ([]corpus.Item, error) {
 	}
 	w.refsKey, w.refs = key, refs
 	return refs, nil
-}
-
-// ensureBlobs pulls the referenced blobs the local store lacks: every ref
-// counts as referenced bytes, only the locally-missing ones transfer. This
-// is the inbound half of the hash-negotiated sync (legacy protocol).
-func (w *Worker) ensureBlobs(ctx context.Context, refs []BlobRef, sync *SyncStats) error {
-	var missing []string
-	for _, ref := range refs {
-		sync.BlobsReferenced++
-		sync.BytesReferenced += uint64(ref.Size)
-		if !w.st.HasBlob(ref.Hash) {
-			missing = append(missing, ref.Hash)
-		}
-	}
-	if len(missing) == 0 {
-		return nil
-	}
-	var fr fetchResponse
-	if err := w.post(ctx, "/blobs/fetch", fetchRequest{Hashes: missing}, &fr, sync); err != nil {
-		return err
-	}
-	if len(fr.Blobs) != len(missing) {
-		return fmt.Errorf("cluster: fetch returned %d blobs for %d hashes", len(fr.Blobs), len(missing))
-	}
-	hashes, err := w.st.PutBatch(fr.Blobs)
-	if err != nil {
-		return err
-	}
-	for i, h := range hashes {
-		if h != missing[i] {
-			return fmt.Errorf("cluster: fetched blob %s hashes to %s", missing[i], h)
-		}
-		sync.BlobsTransferred++
-		sync.BytesTransferred += uint64(len(fr.Blobs[i]))
-	}
-	return nil
-}
-
-// push uploads the produced blobs the coordinator lacks: the outbound half
-// of the sync (legacy protocol). Re-executed shards (after a rejoin or a
-// lease steal) re-push nothing — the coordinator already has every hash.
-func (w *Worker) push(ctx context.Context, hashes []string, sync *SyncStats) error {
-	manifest := dedupeHashes(hashes)
-	if len(manifest) == 0 {
-		return nil
-	}
-	for _, h := range manifest {
-		size, ok := w.st.StatBlob(h)
-		if !ok {
-			return fmt.Errorf("cluster: produced blob %s missing locally", h)
-		}
-		sync.BlobsReferenced++
-		sync.BytesReferenced += uint64(size)
-	}
-	var hr hasResponse
-	if err := w.post(ctx, "/blobs/has", hasRequest{Hashes: manifest}, &hr, sync); err != nil {
-		return err
-	}
-	if len(hr.Has) != len(manifest) {
-		return fmt.Errorf("cluster: has returned %d bits for %d hashes", len(hr.Has), len(manifest))
-	}
-	var blobs [][]byte
-	for i, h := range manifest {
-		if hr.Has[i] {
-			continue
-		}
-		data, err := w.st.GetBlob(h)
-		if err != nil {
-			return err
-		}
-		blobs = append(blobs, data)
-		sync.BlobsTransferred++
-		sync.BytesTransferred += uint64(len(data))
-	}
-	if len(blobs) == 0 {
-		return nil
-	}
-	var pr putResponse
-	return w.post(ctx, "/blobs/put", putRequest{Blobs: blobs}, &pr, sync)
 }

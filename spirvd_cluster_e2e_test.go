@@ -2,8 +2,8 @@
 // real worker processes over HTTP must converge on buckets bitwise-identical
 // to a standalone daemon running the same campaign — including when one
 // worker is SIGKILLed mid-reduction and a cold replacement node joins, and
-// when pipelined and legacy-protocol workers share one cluster — with the
-// hash-negotiated blob sync deduplicating most referenced bytes and the
+// when pipelined and serial (prefetch-off) workers share one cluster — with
+// the hash-negotiated blob sync deduplicating most referenced bytes and the
 // transport counters (round trips, wire/raw bytes, prefetches, adaptive
 // sizing) surfaced through /metrics.
 package spirvfuzz_test
@@ -67,11 +67,11 @@ func startWorker(t *testing.T, bin, coordAddr, node, storeDir string, extra ...s
 	return cmd
 }
 
-// legacyProtoArgs runs a worker on the pre-pipeline wire protocol: no shard
-// prefetch, no gzip, per-endpoint requests instead of batched /cluster/sync.
-// Mixing it with pipelined workers in one cluster proves the two protocols
-// interoperate against the same coordinator with identical results.
-var legacyProtoArgs = []string{"-prefetch=false", "-compress=false", "-batch=false"}
+// serialLoopArgs runs a worker on the serial loop: no shard prefetch, so it
+// leases, syncs, executes and reports one shard at a time. Mixing it with
+// pipelined workers in one cluster proves the two loops interoperate against
+// the same coordinator with identical results.
+var serialLoopArgs = []string{"-prefetch=false"}
 
 func clusterMetrics(t *testing.T, bin, addr string) cluster.Metrics {
 	t.Helper()
@@ -111,9 +111,9 @@ func TestSpirvdClusterKillRejoinBitwiseIdentical(t *testing.T) {
 	workDir := t.TempDir()
 	w1 := startWorker(t, bin, addr, "w1", filepath.Join(workDir, "w1"))
 	defer w1.Process.Kill()
-	// w2 speaks the legacy protocol: a mixed-protocol cluster must still
-	// converge on the same buckets.
-	w2 := startWorker(t, bin, addr, "w2", filepath.Join(workDir, "w2"), legacyProtoArgs...)
+	// w2 runs the serial loop: a mixed cluster must still converge on the
+	// same buckets.
+	w2 := startWorker(t, bin, addr, "w2", filepath.Join(workDir, "w2"), serialLoopArgs...)
 	defer w2.Process.Kill()
 
 	var status service.CampaignStatus
@@ -167,7 +167,7 @@ func TestSpirvdClusterKillRejoinBitwiseIdentical(t *testing.T) {
 	if m.Cluster.BlobDedupFraction < 0.5 {
 		t.Fatalf("blob sync dedup %.2f too low: %+v", m.Cluster.BlobDedupFraction, m.Cluster.Sync)
 	}
-	// Transport telemetry merged from both protocols: round trips and wire
+	// Transport telemetry merged from both loops: round trips and wire
 	// bytes were counted, gzip never inflated a body past its raw size, and
 	// the pipelined workers actually prefetched shards behind execution.
 	s := m.Cluster.Sync
