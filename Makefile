@@ -1,9 +1,9 @@
 GO ?= go
 
-.PHONY: ci fmt vet build test test-bisect test-daemon test-cluster test-memo test-transport bench baseline bench-compare profile
+.PHONY: ci fmt vet build test test-bisect test-daemon test-cluster test-memo test-transport fuzz-smoke bench baseline bench-compare profile
 
 # Everything CI runs, in order; fails fast.
-ci: fmt vet build test test-bisect test-daemon test-cluster test-memo test-transport bench
+ci: fmt vet build test test-bisect test-daemon test-cluster test-memo test-transport fuzz-smoke bench
 
 # The bisection oracle gets its own race pass: the determinism property
 # (FirstBad identical at any worker count, lane width, or cache temperature)
@@ -44,6 +44,13 @@ test-transport:
 test-memo:
 	$(GO) test -race -shuffle=on ./internal/memostore/...
 	$(GO) test -race -count=1 -run 'Memo' ./internal/runner/... ./internal/service/... ./internal/cluster/...
+
+# Each native fuzz target runs for a few seconds past its seed corpus and
+# the committed regression inputs under its package's testdata/fuzz/. A
+# failing input is written there; commit it together with its fix.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeValidate$$' -fuzztime 5s ./internal/spirv/validate
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeRender$$' -fuzztime 5s ./internal/interp
 
 fmt:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \

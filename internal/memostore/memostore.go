@@ -13,13 +13,14 @@
 //
 // Concurrency: all operations are safe for concurrent use. Get/Put/spill
 // serialize on one mutex (memo lookups happen only on in-memory cache
-// misses, so the lock is cold); the singleflight table (Do) uses its own
-// lock so a flight's fn can touch the store freely.
+// misses, so the lock is cold); the singleflight table (Do) is a separate
+// flight.Cache so a flight's fn can touch the store freely.
 package memostore
 
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/base64"
 	"encoding/hex"
 	"encoding/json"
@@ -29,6 +30,8 @@ import (
 	"path/filepath"
 	"sort"
 	"sync"
+
+	"spirvfuzz/internal/flight"
 )
 
 // Key is a content-addressed memo key — in practice a SHA-256 over a
@@ -235,8 +238,7 @@ type Store struct {
 	spillWG   sync.WaitGroup
 	closeOnce sync.Once
 
-	fmu     sync.Mutex
-	flights map[Key]*flightCall
+	flights *flight.Cache[Key, any]
 }
 
 type spillMsg struct {
@@ -263,7 +265,7 @@ func Open(dir string, maxBytes int64) (*Store, error) {
 		maxBytes: maxBytes,
 		index:    make(map[Key]loc),
 		segs:     make(map[int]*segment),
-		flights:  make(map[Key]*flightCall),
+		flights:  flight.New[Key, any](0, func(k Key) byte { return k[0] }),
 		spillCh:  make(chan spillMsg, spillQueueCap),
 	}
 	st.segTarget = maxBytes / 8
@@ -726,6 +728,29 @@ func (s *Store) Len() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return len(s.index)
+}
+
+// Do collapses concurrent executions of the same key: the first caller
+// for k runs fn and every caller that arrives while it is in flight
+// blocks and shares the result (shared=true). The flight table lives on
+// the Store so independent engines spilling to one memo store — a
+// campaign, a bisect job, and a precheck racing over the same corpus —
+// collapse duplicate work across engine boundaries, not just within one
+// engine's in-memory cache. It retains nothing: once fn returns, the next
+// caller for k runs fn afresh.
+//
+// fn's result is shared by reference; callers must treat it as immutable
+// (the runner's images and crashes already are). Followers wait without a
+// context: leaders hold a worker slot and run promptly, exactly like the
+// in-memory compile layer's waiters.
+func (s *Store) Do(k Key, fn func() any) (val any, shared bool) {
+	shared = true
+	// The fill cannot fail, so the flight is never withdrawn.
+	val, _ = s.flights.Do(context.Background(), k, func() (any, error) {
+		shared = false
+		return fn(), nil
+	})
+	return val, shared
 }
 
 // SpillAsync enqueues a record for background persistence. It never

@@ -7,9 +7,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"runtime"
 	"sync"
-	"sync/atomic"
 	"testing"
 )
 
@@ -452,54 +450,6 @@ func TestSpillAsyncFlush(t *testing.T) {
 	s.Flush()
 	if got := s.Len(); got != 30 {
 		t.Fatalf("len %d after flush", got)
-	}
-}
-
-func TestFlightDo(t *testing.T) {
-	s := mustOpen(t, t.TempDir(), 0)
-	defer s.Close()
-	var runs atomic.Int32
-	var sharedN atomic.Int32
-	release := make(chan struct{})
-	var wg sync.WaitGroup
-	k := testKey(7)
-	for i := 0; i < 8; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			v, shared := s.Do(k, func() any {
-				runs.Add(1)
-				<-release
-				return "outcome"
-			})
-			if shared {
-				sharedN.Add(1)
-			}
-			if v != "outcome" {
-				t.Errorf("Do returned %v", v)
-			}
-		}()
-	}
-	// Release the leader only once the other 7 callers are parked on its
-	// flight: a caller that reached Do after the flight ended would
-	// (correctly) start a fresh one.
-	for s.flightWaiters(k) < 7 {
-		runtime.Gosched()
-	}
-	close(release)
-	wg.Wait()
-	if runs.Load() != 1 {
-		t.Fatalf("fn ran %d times", runs.Load())
-	}
-	if sharedN.Load() == 0 {
-		t.Fatal("no caller observed a shared flight")
-	}
-	// A later Do after the flight drained runs fresh.
-	if _, shared := s.Do(k, func() any { runs.Add(1); return nil }); shared {
-		t.Fatal("post-drain Do reported shared")
-	}
-	if runs.Load() != 2 {
-		t.Fatalf("fn ran %d times total", runs.Load())
 	}
 }
 

@@ -1,9 +1,10 @@
 // The persistent memo tier. The engine's four in-memory layers die with
 // the process; a memostore.Store attached via SetMemoStore survives it.
 // Result-layer and compile-layer misses consult the store before running
-// anything, completed executions spill back asynchronously, and a
-// singleflight table on the store collapses duplicate in-flight
-// executions across engines sharing it (campaign + bisect + precheck).
+// anything, completed executions spill back asynchronously, and the
+// store's singleflight (Store.Do, a retain-nothing flight.Cache)
+// collapses duplicate in-flight executions across engines sharing it
+// (campaign + bisect + precheck).
 //
 // Safety rests on the repo's house invariant: target execution is a
 // deterministic function of content, so a memo payload keyed by content
@@ -140,24 +141,24 @@ const (
 	memoCompileMod = 1 // trailing bytes: the module's canonical encoding
 )
 
-func encodeCompile(compiled *spirv.Module, errMsg string) ([]byte, bool) {
+func encodeCompile(mod *spirv.Module, errMsg string) ([]byte, bool) {
 	if errMsg != "" {
 		out := make([]byte, 1+len(errMsg))
 		out[0] = memoCompileErr
 		copy(out[1:], errMsg)
 		return out, true
 	}
-	if compiled == nil {
+	if mod == nil {
 		return nil, false
 	}
-	enc := compiled.EncodeBytes()
+	enc := mod.EncodeBytes()
 	out := make([]byte, 1+len(enc))
 	out[0] = memoCompileMod
 	copy(out[1:], enc)
 	return out, true
 }
 
-func decodeCompile(data []byte) (compiled *spirv.Module, fp [sha256.Size]byte, errMsg string, ok bool) {
+func decodeCompile(data []byte) (mod *spirv.Module, fp [sha256.Size]byte, errMsg string, ok bool) {
 	if len(data) < 1 {
 		return nil, fp, "", false
 	}
@@ -178,17 +179,12 @@ func decodeCompile(data []byte) (compiled *spirv.Module, fp [sha256.Size]byte, e
 	}
 }
 
-// memoOutcome carries a finished execution through the singleflight.
-type memoOutcome struct {
-	img   *interp.Image
-	crash *target.Crash
-}
-
 // memoActive reports whether the persistent tier participates: it stays
 // out of the degraded baselines (cache disabled, sharing off) so they
-// keep measuring what they exist to measure.
+// keep measuring what they exist to measure. The cache-disabled baseline
+// never reaches a fill, so only sharing needs checking here.
 func (e *Engine) memoActive() bool {
-	return e.memo != nil && e.sharing && e.maxPerShard > 0
+	return e.memo != nil && e.sharing
 }
 
 // execute fills a result-layer miss: through the memo tier when one is
@@ -217,42 +213,31 @@ func (e *Engine) execute(tg *target.Target, m *spirv.Module, in interp.Inputs, k
 			e.memoSpills.Add(1)
 			e.memo.SpillAsync(mk, memoKindResult, data)
 		}
-		return memoOutcome{img: img, crash: crash}
+		return result{img: img, crash: crash}
 	})
 	if shared {
 		e.singleflightHits.Add(1)
 	}
-	out := v.(memoOutcome)
+	out := v.(result)
 	return out.img, out.crash
 }
 
 // compileMemoFill fills an in-memory compile-cache miss through the memo
 // tier: disk first, then a singleflight-wrapped SharedCompile that
-// spills back. Returns exactly one of compiled/errMsg set, like compile.
-func (e *Engine) compileMemoFill(m *spirv.Module, muts []target.Mutation, ck ckey) (*spirv.Module, [sha256.Size]byte, string) {
+// spills back. Exactly one of module/errMsg is set, like compile.
+func (e *Engine) compileMemoFill(m *spirv.Module, muts []target.Mutation, ck ckey) compiled {
 	mk := compileMemoKey(ck)
 	if kind, data, ok := e.memo.Get(mk); ok && kind == memoKindCompile {
-		if compiled, fp, errMsg, ok := decodeCompile(data); ok {
+		if mod, fp, errMsg, ok := decodeCompile(data); ok {
 			e.memoHits.Add(1)
-			return compiled, fp, errMsg
+			return compiled{mod: mod, fp: fp, errMsg: errMsg}
 		}
 	}
 	e.memoMisses.Add(1)
-	type compileOutcome struct {
-		compiled *spirv.Module
-		fp       [sha256.Size]byte
-		errMsg   string
-	}
 	v, shared := e.memo.Do(mk, func() any {
 		e.compileMisses.Add(1)
-		compiled, err := target.SharedCompile(m, muts)
-		out := compileOutcome{compiled: compiled}
-		if err != nil {
-			out.compiled, out.errMsg = nil, err.Error()
-		} else {
-			out.fp = compiled.Fingerprint()
-		}
-		if data, ok := encodeCompile(out.compiled, out.errMsg); ok {
+		out := sharedCompile(m, muts)
+		if data, ok := encodeCompile(out.mod, out.errMsg); ok {
 			e.memoSpills.Add(1)
 			e.memo.SpillAsync(mk, memoKindCompile, data)
 		}
@@ -261,6 +246,5 @@ func (e *Engine) compileMemoFill(m *spirv.Module, muts []target.Mutation, ck cke
 	if shared {
 		e.singleflightHits.Add(1)
 	}
-	out := v.(compileOutcome)
-	return out.compiled, out.fp, out.errMsg
+	return v.(compiled)
 }

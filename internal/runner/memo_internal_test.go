@@ -169,7 +169,7 @@ func TestMemoSingleflightAcrossEngines(t *testing.T) {
 			ms.Do(mk, func() any {
 				close(started)
 				<-release
-				return memoOutcome{img: img, crash: nil}
+				return result{img: img}
 			})
 			close(leaderDone)
 		}()

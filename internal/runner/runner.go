@@ -23,9 +23,9 @@
 //
 // Target execution is deterministic, so cached results are exact and the
 // engine never changes observable behaviour — only how often the simulated
-// compilers actually run. Cache entries are deduplicated in flight: when two
-// goroutines ask for the same key concurrently, one executes and the other
-// waits for its result.
+// compilers actually run. Every layer is a flight.Cache, so entries are
+// deduplicated in flight: when two goroutines ask for the same key
+// concurrently, one executes and the other waits for its result.
 package runner
 
 import (
@@ -38,6 +38,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"spirvfuzz/internal/flight"
 	"spirvfuzz/internal/interp"
 	"spirvfuzz/internal/memostore"
 	"spirvfuzz/internal/opt"
@@ -46,8 +47,6 @@ import (
 )
 
 const (
-	// shardCount spreads cache contention; must be a power of two.
-	shardCount = 16
 	// defaultCacheCap bounds total cached results across all shards.
 	defaultCacheCap = 1 << 14
 	// maxUniformMemo bounds the uniforms-hash memo (entries pin their maps).
@@ -80,57 +79,56 @@ type ckey struct {
 	mut string
 }
 
-// entry is one cache slot. done is closed once the payload is populated, so
-// concurrent requests for an in-flight key wait instead of re-executing.
-// Result entries carry img/crash; render entries carry img/renderErr.
-// canceled marks an entry whose executor was canceled before running — it
-// has been removed from the map and waiters must retry the lookup.
-type entry struct {
-	done      chan struct{}
-	img       *interp.Image
-	crash     *target.Crash
-	renderErr string
-	canceled  bool
+// result is one result-layer value: what tg.Run returns.
+type result struct {
+	img   *interp.Image
+	crash *target.Crash
 }
 
-// centry is one compile-cache slot: the shared compiled module, its cached
-// fingerprint (the render-layer key, so renders never re-encode the module),
-// or the pipeline error text, which each target wraps in its own signature.
-type centry struct {
-	done     chan struct{}
-	compiled *spirv.Module
-	fp       [sha256.Size]byte
-	errMsg   string
+// compiled is one compile-layer value: the shared compiled module, its
+// cached fingerprint (the render-layer key, so renders never re-encode the
+// module), or the pipeline error text, which each target wraps in its own
+// signature.
+type compiled struct {
+	mod    *spirv.Module
+	fp     [sha256.Size]byte
+	errMsg string
 }
 
-type shard struct {
-	mu sync.Mutex
-	m  map[key]*entry
+// rendered is one render-layer value: the image or the fault text.
+type rendered struct {
+	img    *interp.Image
+	errMsg string
 }
 
-type cshard struct {
-	mu sync.Mutex
-	m  map[ckey]*centry
-}
-
-// pentry is one plan-cache slot: the compiled module lowered to a register
-// Program, or the lowering error text. Programs are immutable and shared by
-// every render of the same compiled module.
-type pentry struct {
-	done   chan struct{}
+// planned is one plan-layer value: the compiled module lowered to a
+// register Program, or the lowering error text. Programs are immutable and
+// shared by every render of the same compiled module.
+type planned struct {
 	prog   *interp.Program
 	errMsg string
 }
 
-type pshard struct {
-	mu sync.Mutex
-	m  map[[sha256.Size]byte]*pentry
+// uniHash memoizes the hash of one uniforms map. The map itself is retained
+// so its address (the memo key) cannot be reused by a different map while
+// the entry is alive.
+type uniHash struct {
+	ref  map[string]interp.Value
+	hash [sha256.Size]byte
 }
+
+func keyShard(k key) byte                { return k.mod[0] }
+func ckeyShard(k ckey) byte              { return k.mod[0] }
+func hashShard(h [sha256.Size]byte) byte { return h[0] }
+
+// pointerShard spreads map addresses, whose low bits are alignment, across
+// shards with a Fibonacci hash.
+func pointerShard(p uintptr) byte { return byte(uint64(p) * 0x9E3779B97F4A7C15 >> 56) }
 
 // Stats is a point-in-time snapshot of engine counters.
 type Stats struct {
 	// Result layer: full (target, module, inputs) executions.
-	Hits   uint64 // Run calls answered from the cache (incl. in-flight waits)
+	Hits   uint64 // Run calls answered from the cache (incl. completed in-flight waits)
 	Misses uint64 // Run calls that executed the target toolchain
 	// Compile layer: (module, mutation fingerprint) clone+mutate+optimize
 	// runs, consulted on result-layer misses and shared across targets.
@@ -187,14 +185,6 @@ func (s Stats) HitRate() float64 {
 		s.MemoHits+s.SingleflightHits) / float64(total)
 }
 
-// uniEntry memoizes the hash of one uniforms map. The map itself is retained
-// so its address (the memo key) cannot be reused by a different map while the
-// entry is alive.
-type uniEntry struct {
-	ref  map[string]interp.Value
-	hash [sha256.Size]byte
-}
-
 // Engine is a memoizing, concurrency-bounded executor of target runs. It is
 // safe for concurrent use; the zero value is not valid — use New.
 type Engine struct {
@@ -203,28 +193,21 @@ type Engine struct {
 	maxPerShard   int
 	sharing       bool
 	renderWorkers int
-	shards        [shardCount]shard  // result layer: (target, module, inputs)
-	compiles      [shardCount]cshard // compile layer: (module, mutations)
-	plans         [shardCount]pshard // plan layer: compiled module -> Program
-	renders       [shardCount]shard  // render layer: ("", compiled module, inputs)
-
-	uniMu   sync.Mutex
-	uniMemo map[uintptr]uniEntry
+	results       *flight.Cache[key, result]                // (target, module, inputs)
+	compiles      *flight.Cache[ckey, compiled]             // (module, mutations)
+	plans         *flight.Cache[[sha256.Size]byte, planned] // compiled module -> Program
+	renders       *flight.Cache[key, rendered]              // ("", compiled module, inputs)
+	uniforms      *flight.Cache[uintptr, uniHash]           // uniforms map address -> hash
 
 	// memo is the optional persistent fifth tier (see memo.go); nil when
 	// no store is attached.
 	memo *memostore.Store
 
-	hits             atomic.Uint64
 	misses           atomic.Uint64
-	compileHits      atomic.Uint64
 	compileMisses    atomic.Uint64
-	renderHits       atomic.Uint64
 	renderMisses     atomic.Uint64
-	planHits         atomic.Uint64
 	planMisses       atomic.Uint64
 	planNanos        atomic.Int64
-	evictions        atomic.Uint64
 	memoHits         atomic.Uint64
 	memoMisses       atomic.Uint64
 	memoSpills       atomic.Uint64
@@ -237,20 +220,18 @@ func New(workers int) *Engine {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	e := &Engine{
+	per := defaultCacheCap / flight.Shards
+	return &Engine{
 		workers:     workers,
 		sem:         make(chan struct{}, workers),
-		maxPerShard: defaultCacheCap / shardCount,
+		maxPerShard: per,
 		sharing:     true,
-		uniMemo:     make(map[uintptr]uniEntry),
+		results:     flight.New[key, result](per, keyShard),
+		compiles:    flight.New[ckey, compiled](per, ckeyShard),
+		plans:       flight.New[[sha256.Size]byte, planned](per, hashShard),
+		renders:     flight.New[key, rendered](per, keyShard),
+		uniforms:    flight.New[uintptr, uniHash](maxUniformMemo/flight.Shards, pointerShard),
 	}
-	for i := range e.shards {
-		e.shards[i].m = make(map[key]*entry)
-		e.compiles[i].m = make(map[ckey]*centry)
-		e.plans[i].m = make(map[[sha256.Size]byte]*pentry)
-		e.renders[i].m = make(map[key]*entry)
-	}
-	return e
 }
 
 // SetRenderWorkers sets the row-parallelism used for render-layer misses on
@@ -266,15 +247,15 @@ func (e *Engine) SetRenderWorkers(n int) { e.renderWorkers = n }
 // baseline). It only affects future insertions and is not safe to call
 // concurrently with Run.
 func (e *Engine) SetCacheCap(total int) {
-	if total <= 0 {
-		e.maxPerShard = 0
-		return
-	}
-	per := total / shardCount
-	if per < 1 {
-		per = 1
+	per := 0
+	if total > 0 {
+		per = max(total/flight.Shards, 1)
 	}
 	e.maxPerShard = per
+	e.results.SetCap(per)
+	e.compiles.SetCap(per)
+	e.plans.SetCap(per)
+	e.renders.SetCap(per)
 }
 
 // SetCompileSharing toggles the phase-split execute path. Sharing is on by
@@ -390,46 +371,20 @@ func (e *Engine) RunAllCtx(ctx context.Context, targets []*target.Target, m *spi
 }
 
 // runKeyed is the common result-layer protocol behind RunCtx and RunAllCtx:
-// look up k, wait on an in-flight executor, or execute and cache.
+// look up k, wait on an in-flight executor, or execute and cache. An
+// executor canceled while queued for a worker slot withdraws its entry.
 func (e *Engine) runKeyed(ctx context.Context, tg *target.Target, m *spirv.Module, in interp.Inputs, k key) (*interp.Image, *target.Crash, error) {
-	s := &e.shards[k.mod[0]&(shardCount-1)]
-	for {
-		s.mu.Lock()
-		if ent, ok := s.m[k]; ok {
-			s.mu.Unlock()
-			e.hits.Add(1)
-			select {
-			case <-ent.done:
-			case <-ctx.Done():
-				return nil, nil, ctx.Err()
-			}
-			if ent.canceled {
-				continue // executor withdrew before running; retry the lookup
-			}
-			return ent.img, ent.crash, nil
-		}
-		ent := &entry{done: make(chan struct{})}
-		if len(s.m) >= e.maxPerShard {
-			e.evictOneLocked(s)
-		}
-		s.m[k] = ent
-		s.mu.Unlock()
-
+	r, err := e.results.Do(ctx, k, func() (result, error) {
 		select {
 		case e.sem <- struct{}{}:
 		case <-ctx.Done():
-			s.mu.Lock()
-			delete(s.m, k)
-			s.mu.Unlock()
-			ent.canceled = true
-			close(ent.done)
-			return nil, nil, ctx.Err()
+			return result{}, ctx.Err()
 		}
-		ent.img, ent.crash = e.execute(tg, m, in, k)
+		img, crash := e.execute(tg, m, in, k)
 		<-e.sem
-		close(ent.done)
-		return ent.img, ent.crash, nil
-	}
+		return result{img, crash}, nil
+	})
+	return r.img, r.crash, err
 }
 
 // runUncached executes the toolchain for a result-layer miss. With sharing
@@ -439,112 +394,76 @@ func (e *Engine) runKeyed(ctx context.Context, tg *target.Target, m *spirv.Modul
 // the monolithic baseline: tg.Compile plus a render memoized on a fresh
 // hash of the compiled module's encoding.
 func (e *Engine) runUncached(tg *target.Target, m *spirv.Module, in interp.Inputs, k key) (*interp.Image, *target.Crash) {
-	var compiled *spirv.Module
+	var mod *spirv.Module
 	rk := key{w: k.w, h: k.h, uni: k.uni}
 	if e.sharing {
 		if crash := tg.CheckCrashes(m); crash != nil {
 			return nil, crash
 		}
-		var errMsg string
-		compiled, rk.mod, errMsg = e.compile(m, k.mod, tg.Mutations(m))
-		if errMsg != "" {
-			return nil, &target.Crash{Signature: tg.Name + ": internal compiler error: " + errMsg}
+		c := e.compile(m, k.mod, tg.Mutations(m))
+		if c.errMsg != "" {
+			return nil, &target.Crash{Signature: tg.Name + ": internal compiler error: " + c.errMsg}
 		}
+		mod, rk.mod = c.mod, c.fp
 	} else {
 		var crash *target.Crash
-		compiled, crash = tg.Compile(m)
+		mod, crash = tg.Compile(m)
 		if crash != nil {
 			return nil, crash
 		}
-		rk.mod = sha256.Sum256(compiled.EncodeBytes())
+		rk.mod = sha256.Sum256(mod.EncodeBytes())
 	}
 	if !tg.CanRender {
 		return nil, nil
 	}
-	img, errMsg := e.render(compiled, rk, in)
-	if errMsg != "" {
-		return nil, &target.Crash{Signature: tg.Name + ": device fault: " + errMsg}
+	r := e.render(mod, rk, in)
+	if r.errMsg != "" {
+		return nil, &target.Crash{Signature: tg.Name + ": device fault: " + r.errMsg}
 	}
-	return img, nil
+	return r.img, nil
 }
 
 // compile serves the clone + mutate + optimize tail from the compile cache,
-// keyed by (module fingerprint, mutation fingerprint). It returns the shared
-// compiled module (treat as immutable), its fingerprint (the render-layer
-// key), and the pipeline error text, exactly one of module/error set.
+// keyed by (module fingerprint, mutation fingerprint). The shared compiled
+// module must be treated as immutable; exactly one of module/error is set.
 // Executors hold a worker slot already, so waiters block without a ctx: the
-// peer they wait on is running, not queued.
-func (e *Engine) compile(m *spirv.Module, modHash [sha256.Size]byte, muts []target.Mutation) (*spirv.Module, [sha256.Size]byte, string) {
+// peer they wait on is running, not queued. The compile, render and plan
+// fills cache their errors as text and never fail, so their entries are
+// never withdrawn and the Do error is always nil.
+func (e *Engine) compile(m *spirv.Module, modHash [sha256.Size]byte, muts []target.Mutation) compiled {
 	ck := ckey{mod: modHash, mut: target.FingerprintMutations(muts)}
-	s := &e.compiles[ck.mod[0]&(shardCount-1)]
-
-	s.mu.Lock()
-	if ent, ok := s.m[ck]; ok {
-		s.mu.Unlock()
-		e.compileHits.Add(1)
-		<-ent.done
-		return ent.compiled, ent.fp, ent.errMsg
-	}
-	ent := &centry{done: make(chan struct{})}
-	if len(s.m) >= e.maxPerShard {
-		e.evictCompileLocked(s)
-	}
-	s.m[ck] = ent
-	s.mu.Unlock()
-
-	if e.memoActive() {
-		ent.compiled, ent.fp, ent.errMsg = e.compileMemoFill(m, muts, ck)
-	} else {
-		e.compileMisses.Add(1)
-		compiled, err := target.SharedCompile(m, muts)
-		if err != nil {
-			ent.errMsg = err.Error()
-		} else {
-			ent.compiled = compiled
-			ent.fp = compiled.Fingerprint()
+	c, _ := e.compiles.Do(context.Background(), ck, func() (compiled, error) {
+		if e.memoActive() {
+			return e.compileMemoFill(m, muts, ck), nil
 		}
+		e.compileMisses.Add(1)
+		return sharedCompile(m, muts), nil
+	})
+	return c
+}
+
+// sharedCompile runs target.SharedCompile and fingerprints its output.
+func sharedCompile(m *spirv.Module, muts []target.Mutation) compiled {
+	mod, err := target.SharedCompile(m, muts)
+	if err != nil {
+		return compiled{errMsg: err.Error()}
 	}
-	close(ent.done)
-	return ent.compiled, ent.fp, ent.errMsg
+	return compiled{mod: mod, fp: mod.Fingerprint()}
 }
 
 // render executes the reference interpreter, memoized on rk (compiled module
 // fingerprint plus inputs). The error message is cached as text so each
 // target can prefix its own name, exactly as target.Run does.
-func (e *Engine) render(compiled *spirv.Module, rk key, in interp.Inputs) (*interp.Image, string) {
-	if e.maxPerShard == 0 { // caching disabled; Run bypasses us, but stay safe
+func (e *Engine) render(mod *spirv.Module, rk key, in interp.Inputs) rendered {
+	r, _ := e.renders.Do(context.Background(), rk, func() (rendered, error) {
 		e.renderMisses.Add(1)
-		img, err := interp.Render(compiled, in)
+		img, err := e.renderCompiled(mod, rk, in)
 		if err != nil {
-			return nil, err.Error()
+			return rendered{errMsg: err.Error()}, nil
 		}
-		return img, ""
-	}
-	s := &e.renders[rk.mod[0]&(shardCount-1)]
-
-	s.mu.Lock()
-	if ent, ok := s.m[rk]; ok {
-		s.mu.Unlock()
-		e.renderHits.Add(1)
-		<-ent.done
-		return ent.img, ent.renderErr
-	}
-	ent := &entry{done: make(chan struct{})}
-	if len(s.m) >= e.maxPerShard {
-		e.evictOneLocked(s)
-	}
-	s.m[rk] = ent
-	s.mu.Unlock()
-
-	e.renderMisses.Add(1)
-	img, err := e.renderCompiled(compiled, rk, in)
-	if err != nil {
-		ent.renderErr = err.Error()
-	} else {
-		ent.img = img
-	}
-	close(ent.done)
-	return ent.img, ent.renderErr
+		return rendered{img: img}, nil
+	})
+	return r
 }
 
 // renderCompiled executes the interpreter for a render-layer miss: the
@@ -553,13 +472,13 @@ func (e *Engine) render(compiled *spirv.Module, rk key, in interp.Inputs) (*inte
 // SetRenderWorkers enabled it and the grid is large enough. When the
 // tree-walker flag is set the plan layer is bypassed and the reference
 // evaluator runs instead — same images, same faults, no lowering.
-func (e *Engine) renderCompiled(compiled *spirv.Module, rk key, in interp.Inputs) (*interp.Image, error) {
+func (e *Engine) renderCompiled(mod *spirv.Module, rk key, in interp.Inputs) (*interp.Image, error) {
 	if interp.TreeWalker() {
-		return interp.RenderTree(compiled, in)
+		return interp.RenderTree(mod, in)
 	}
-	prog, errMsg := e.plan(compiled, rk.mod)
-	if errMsg != "" {
-		return nil, errors.New(errMsg)
+	p := e.plan(mod, rk.mod)
+	if p.errMsg != "" {
+		return nil, errors.New(p.errMsg)
 	}
 	w, h := rk.w, rk.h
 	if w == 0 {
@@ -572,7 +491,7 @@ func (e *Engine) renderCompiled(compiled *spirv.Module, rk key, in interp.Inputs
 	if e.renderWorkers > 1 && w*h >= parallelRenderMinPixels {
 		workers = e.renderWorkers
 	}
-	return prog.RenderParallel(in, workers)
+	return p.prog.RenderParallel(in, workers)
 }
 
 // plan serves module→Program lowering from the plan cache, keyed by the
@@ -581,90 +500,34 @@ func (e *Engine) renderCompiled(compiled *spirv.Module, rk key, in interp.Inputs
 // one compiled module lower it exactly once. Exactly one of prog/errMsg is
 // set; lowering errors are precisely the errors RenderTree would report
 // before its first pixel, cached as text like render errors.
-func (e *Engine) plan(compiled *spirv.Module, fp [sha256.Size]byte) (*interp.Program, string) {
-	s := &e.plans[fp[0]&(shardCount-1)]
-
-	s.mu.Lock()
-	if ent, ok := s.m[fp]; ok {
-		s.mu.Unlock()
-		e.planHits.Add(1)
-		<-ent.done
-		return ent.prog, ent.errMsg
-	}
-	ent := &pentry{done: make(chan struct{})}
-	if len(s.m) >= e.maxPerShard {
-		e.evictPlanLocked(s)
-	}
-	s.m[fp] = ent
-	s.mu.Unlock()
-
-	e.planMisses.Add(1)
-	start := time.Now()
-	prog, err := interp.Compile(compiled)
-	e.planNanos.Add(time.Since(start).Nanoseconds())
-	if err != nil {
-		ent.errMsg = err.Error()
-	} else {
-		ent.prog = prog
-	}
-	close(ent.done)
-	return ent.prog, ent.errMsg
-}
-
-// evictOneLocked discards one completed entry from s (any one: target runs
-// are deterministic, so eviction affects only performance, never results).
-// In-flight entries are never evicted — their waiters hold the pointer.
-func (e *Engine) evictOneLocked(s *shard) {
-	for k, ent := range s.m {
-		select {
-		case <-ent.done:
-			delete(s.m, k)
-			e.evictions.Add(1)
-			return
-		default:
+func (e *Engine) plan(mod *spirv.Module, fp [sha256.Size]byte) planned {
+	p, _ := e.plans.Do(context.Background(), fp, func() (planned, error) {
+		e.planMisses.Add(1)
+		start := time.Now()
+		prog, err := interp.Compile(mod)
+		e.planNanos.Add(time.Since(start).Nanoseconds())
+		if err != nil {
+			return planned{errMsg: err.Error()}, nil
 		}
-	}
-}
-
-// evictCompileLocked is evictOneLocked for the compile layer.
-func (e *Engine) evictCompileLocked(s *cshard) {
-	for k, ent := range s.m {
-		select {
-		case <-ent.done:
-			delete(s.m, k)
-			e.evictions.Add(1)
-			return
-		default:
-		}
-	}
-}
-
-// evictPlanLocked is evictOneLocked for the plan layer.
-func (e *Engine) evictPlanLocked(s *pshard) {
-	for k, ent := range s.m {
-		select {
-		case <-ent.done:
-			delete(s.m, k)
-			e.evictions.Add(1)
-			return
-		default:
-		}
-	}
+		return planned{prog: prog}, nil
+	})
+	return p
 }
 
 // Stats returns a snapshot of the engine's counters.
 func (e *Engine) Stats() Stats {
 	st := Stats{
-		Hits:             e.hits.Load(),
+		Hits:             e.results.Hits(),
 		Misses:           e.misses.Load(),
-		CompileHits:      e.compileHits.Load(),
+		CompileHits:      e.compiles.Hits(),
 		CompileMisses:    e.compileMisses.Load(),
-		RenderHits:       e.renderHits.Load(),
+		RenderHits:       e.renders.Hits(),
 		RenderMisses:     e.renderMisses.Load(),
-		PlanHits:         e.planHits.Load(),
+		PlanHits:         e.plans.Hits(),
 		PlanMisses:       e.planMisses.Load(),
 		PlanCompileNanos: e.planNanos.Load(),
-		Evictions:        e.evictions.Load(),
+		Evictions:        e.results.Evictions() + e.compiles.Evictions() + e.plans.Evictions() + e.renders.Evictions(),
+		Entries:          e.results.Len() + e.compiles.Len() + e.plans.Len() + e.renders.Len(),
 		Workers:          e.workers,
 		OptPasses:        opt.PassStats(),
 		MemoHits:         e.memoHits.Load(),
@@ -674,21 +537,6 @@ func (e *Engine) Stats() Stats {
 	}
 	lt := interp.LaneTotals()
 	st.LaneGroups, st.LaneDivergences, st.ScalarFallbacks = lt.Groups, lt.Divergences, lt.Fallbacks
-	for i := range e.shards {
-		for _, s := range []*shard{&e.shards[i], &e.renders[i]} {
-			s.mu.Lock()
-			st.Entries += len(s.m)
-			s.mu.Unlock()
-		}
-		cs := &e.compiles[i]
-		cs.mu.Lock()
-		st.Entries += len(cs.m)
-		cs.mu.Unlock()
-		ps := &e.plans[i]
-		ps.mu.Lock()
-		st.Entries += len(ps.m)
-		ps.mu.Unlock()
-	}
 	return st
 }
 
@@ -780,24 +628,12 @@ func (e *Engine) keyFor(tg *target.Target, m *spirv.Module, in interp.Inputs) ke
 // does — inputs are cloned before fuzzing mutates them). Uniforms that fail
 // to encode share a zero sentinel distinct from every real hash.
 func (e *Engine) uniformsHash(u map[string]interp.Value) [sha256.Size]byte {
-	p := reflect.ValueOf(u).Pointer()
-	e.uniMu.Lock()
-	if ent, ok := e.uniMemo[p]; ok {
-		e.uniMu.Unlock()
-		return ent.hash
-	}
-	e.uniMu.Unlock()
-
-	var h [sha256.Size]byte
-	if data, err := interp.EncodeInputs(interp.Inputs{Uniforms: u}); err == nil {
-		h = sha256.Sum256(data)
-	}
-
-	e.uniMu.Lock()
-	if len(e.uniMemo) >= maxUniformMemo {
-		e.uniMemo = make(map[uintptr]uniEntry) // rare; drop pins and restart
-	}
-	e.uniMemo[p] = uniEntry{ref: u, hash: h}
-	e.uniMu.Unlock()
-	return h
+	v, _ := e.uniforms.Do(context.Background(), reflect.ValueOf(u).Pointer(), func() (uniHash, error) {
+		v := uniHash{ref: u}
+		if data, err := interp.EncodeInputs(interp.Inputs{Uniforms: u}); err == nil {
+			v.hash = sha256.Sum256(data)
+		}
+		return v, nil
+	})
+	return v.hash
 }
