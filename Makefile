@@ -51,6 +51,7 @@ test-memo:
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeValidate$$' -fuzztime 5s ./internal/spirv/validate
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeRender$$' -fuzztime 5s ./internal/interp
+	$(GO) test -run '^$$' -fuzz '^FuzzStoreOpen$$' -fuzztime 5s ./internal/store
 
 fmt:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \

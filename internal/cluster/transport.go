@@ -13,6 +13,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"spirvfuzz/internal/service"
 )
 
 // The worker↔coordinator transport. One tuned http.Transport is shared by
@@ -170,11 +172,10 @@ func postWire(ctx context.Context, hc *http.Client, base, path string, body, out
 	}
 	respRaw := respWire
 	if strings.EqualFold(resp.Header.Get("Content-Encoding"), "gzip") {
-		zr, err := gzip.NewReader(bytes.NewReader(respWire))
-		if err != nil {
-			return 0, fmt.Errorf("cluster: %s: bad gzip response: %w", path, err)
-		}
-		respRaw, err = io.ReadAll(zr)
+		err := service.Gunzip(bytes.NewReader(respWire), func(zr io.Reader) (err error) {
+			respRaw, err = io.ReadAll(zr)
+			return err
+		})
 		if err != nil {
 			return 0, fmt.Errorf("cluster: %s: bad gzip response: %w", path, err)
 		}

@@ -1,12 +1,15 @@
 package service
 
 import (
+	"bufio"
 	"compress/gzip"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strings"
+	"sync"
 	"time"
 )
 
@@ -146,15 +149,38 @@ func ReadJSON(w http.ResponseWriter, r *http.Request, v any) bool {
 
 func decodeBody(w http.ResponseWriter, r *http.Request, v any) error {
 	body := http.MaxBytesReader(w, r.Body, MaxRequestBytes)
-	if strings.EqualFold(r.Header.Get("Content-Encoding"), "gzip") {
-		zr, err := gzip.NewReader(body)
-		if err != nil {
-			return fmt.Errorf("bad gzip request body: %w", err)
-		}
-		defer zr.Close()
-		body = http.MaxBytesReader(w, zr, MaxInflatedBytes)
+	if !strings.EqualFold(r.Header.Get("Content-Encoding"), "gzip") {
+		return json.NewDecoder(body).Decode(v)
 	}
-	return json.NewDecoder(body).Decode(v)
+	return Gunzip(body, func(zr io.Reader) error {
+		return json.NewDecoder(http.MaxBytesReader(w, io.NopCloser(zr), MaxInflatedBytes)).Decode(v)
+	})
+}
+
+// gzipReader is a pooled gzip reader and the buffered reader it reads
+// through. A fresh gzip.NewReader per message would allocate its flate
+// state and a read buffer every time; a reset one reuses both.
+type gzipReader struct {
+	br bufio.Reader
+	zr gzip.Reader
+}
+
+var gzipReaders = sync.Pool{New: func() any { return new(gzipReader) }}
+
+// Gunzip hands fn the inflated stream of the gzip data in r, read through a
+// pooled reader. fn must not retain the stream. A malformed gzip header is
+// returned as gzip's own error.
+func Gunzip(r io.Reader, fn func(io.Reader) error) error {
+	g := gzipReaders.Get().(*gzipReader)
+	defer func() {
+		g.br.Reset(nil) // drop the source so the pool does not pin it
+		gzipReaders.Put(g)
+	}()
+	g.br.Reset(r)
+	if err := g.zr.Reset(&g.br); err != nil {
+		return err
+	}
+	return fn(&g.zr)
 }
 
 // WriteJSON writes v as indented JSON with the given status.

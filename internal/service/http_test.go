@@ -1,11 +1,14 @@
 package service
 
 import (
+	"bytes"
+	"compress/gzip"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -94,5 +97,68 @@ func TestMuxRoutes(t *testing.T) {
 			t.Errorf("%s %s: status %d body %q, want %d containing %q",
 				tc.method, tc.path, resp.StatusCode, body, tc.status, tc.want)
 		}
+	}
+}
+
+// TestGunzipPooledMatchesFresh decodes gzip streams through the pooled
+// readers from 8 goroutines at once and checks every result against a fresh
+// gzip.NewReader: the same bytes for good streams (multi-member ones too),
+// an error for corrupt ones, and a reader that works again after an error.
+// ReadJSON decodes a gzipped body through the same pool.
+func TestGunzipPooledMatchesFresh(t *testing.T) {
+	stream := func(g, i int) []byte {
+		var buf bytes.Buffer
+		for m := 0; m <= i%3; m++ { // 1-3 concatenated members
+			zw := gzip.NewWriter(&buf)
+			fmt.Fprintf(zw, "{\"g\":%d,\"i\":%d,\"pad\":%q}", g, i, strings.Repeat("x", 97*i))
+			zw.Close()
+		}
+		data := buf.Bytes()
+		if i%5 == 4 {
+			data[len(data)/2] ^= 0xff // corrupt the deflate stream or its checksum
+		}
+		if i%7 == 6 {
+			data = data[:5] // torn header
+		}
+		return data
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 40; i++ {
+				data := stream(g, i)
+				var got []byte
+				err := Gunzip(bytes.NewReader(data), func(zr io.Reader) (err error) {
+					got, err = io.ReadAll(zr)
+					return err
+				})
+				var want []byte
+				zr, wantErr := gzip.NewReader(bytes.NewReader(data))
+				if wantErr == nil {
+					want, wantErr = io.ReadAll(zr)
+				}
+				if (err == nil) != (wantErr == nil) || err == nil && !bytes.Equal(got, want) {
+					t.Errorf("stream %d/%d: pooled (%d bytes, %v) vs fresh (%d bytes, %v)", g, i, len(got), err, len(want), wantErr)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+
+	var body bytes.Buffer
+	zw := gzip.NewWriter(&body)
+	fmt.Fprint(zw, `{"tests": 7, "tool": "spirv-fuzz"}`)
+	zw.Close()
+	req := httptest.NewRequest(http.MethodPost, "/campaigns", &body)
+	req.Header.Set("Content-Encoding", "gzip")
+	var spec CampaignSpec
+	if rec := httptest.NewRecorder(); !ReadJSON(rec, req, &spec) {
+		t.Fatalf("ReadJSON of a gzipped body: %d %s", rec.Code, rec.Body)
+	}
+	if spec.Tests != 7 || spec.Tool != "spirv-fuzz" {
+		t.Fatalf("ReadJSON decoded %+v", spec)
 	}
 }

@@ -3,6 +3,8 @@ package service
 import (
 	"context"
 	"errors"
+	"fmt"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -17,6 +19,9 @@ var (
 	// drained. Their pipeline steps were never journaled, so a restarted
 	// daemon re-runs them.
 	ErrDrained = errors.New("service: job dropped during drain")
+	// ErrPanicked wraps the error of a job whose Fn panicked. The error
+	// text carries the panic value and the goroutine's stack.
+	ErrPanicked = errors.New("panicked")
 )
 
 const (
@@ -199,7 +204,8 @@ func (q *Queue) worker() {
 
 // run executes one job with bounded retry. A job that fails with its own
 // error is retried after an exponentially growing delay; context errors end
-// the job immediately (the step is resumable, not broken).
+// the job immediately (the step is resumable, not broken), and so does a
+// panic (the step is deterministic, so it would panic again).
 func (q *Queue) run(h *Handle) {
 	maxAttempts := h.job.MaxAttempts
 	if maxAttempts < 1 {
@@ -215,9 +221,9 @@ func (q *Queue) run(h *Handle) {
 			h.err = err
 			break
 		}
-		err := h.job.Fn(q.ctx)
+		err := q.call(h)
 		h.err = err
-		if err == nil || errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
+		if err == nil || errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) || errors.Is(err, ErrPanicked) {
 			break
 		}
 		if attempt >= maxAttempts {
@@ -236,4 +242,15 @@ func (q *Queue) run(h *Handle) {
 		q.completed.Add(1)
 	}
 	close(h.done)
+}
+
+// call runs one attempt of h's job, recovering a panic into an ErrPanicked
+// error so that it fails this job instead of the daemon.
+func (q *Queue) call(h *Handle) (err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("service: job %s %w: %v\n%s", h.job.Label, ErrPanicked, r, debug.Stack())
+		}
+	}()
+	return h.job.Fn(q.ctx)
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -36,6 +37,52 @@ func TestQueueRunsJobs(t *testing.T) {
 	}
 	if err := q.Drain(context.Background()); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestQueuePanicFailsOneJob pins panic containment: a job whose Fn panics
+// fails alone, after one attempt, with the panic value and stack in its
+// error, and the same queue goes on to complete other jobs.
+func TestQueuePanicFailsOneJob(t *testing.T) {
+	q := NewQueue(context.Background(), 2)
+	defer q.Drain(context.Background())
+	var calls atomic.Int64
+	poisoned := q.Submit(Job{
+		Label:   "poisoned",
+		Backoff: time.Millisecond,
+		Fn: func(ctx context.Context) error {
+			calls.Add(1)
+			var m map[string]int
+			m["boom"]++ // nil map write
+			return nil
+		},
+	})
+	err := poisoned.Wait(context.Background())
+	if !errors.Is(err, ErrPanicked) {
+		t.Fatalf("panicking job err = %v, want ErrPanicked", err)
+	}
+	if msg := err.Error(); !strings.Contains(msg, "poisoned") || !strings.Contains(msg, "nil map") || !strings.Contains(msg, "TestQueuePanicFailsOneJob") {
+		t.Fatalf("panic error lacks label, value or stack:\n%s", msg)
+	}
+	if poisoned.Attempts() != 1 || calls.Load() != 1 {
+		t.Fatalf("attempts = %d, calls = %d; a panic must not be retried", poisoned.Attempts(), calls.Load())
+	}
+	var ran atomic.Int64
+	var handles []*Handle
+	for i := 0; i < 10; i++ {
+		handles = append(handles, q.Submit(Job{
+			Label: fmt.Sprintf("job%d", i),
+			Fn:    func(ctx context.Context) error { ran.Add(1); return nil },
+		}))
+	}
+	for _, h := range handles {
+		if err := h.Wait(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st := q.Stats()
+	if ran.Load() != 10 || st.Completed != 10 || st.Failed != 1 || st.Retries != 0 {
+		t.Fatalf("after the panic: ran %d, stats %+v", ran.Load(), st)
 	}
 }
 

@@ -21,11 +21,15 @@ func (s *Store) checkpointPath(name string) (string, error) {
 // encoding of v: the bytes are written to a temp file, fsynced, and renamed
 // over the old checkpoint, so readers (and a daemon restarted after a kill)
 // observe either the previous complete checkpoint or the new complete one,
-// never a torn mix.
+// never a torn mix. The blob pack is fsynced first: a checkpoint references
+// blobs by hash, so it must not reach stable storage before they do.
 func (s *Store) SaveCheckpoint(name string, v any) error {
 	path, err := s.checkpointPath(name)
 	if err != nil {
 		return err
+	}
+	if err := s.syncPack(); err != nil {
+		return fmt.Errorf("store: checkpoint %s: %w", name, err)
 	}
 	data, err := json.MarshalIndent(v, "", "  ")
 	if err != nil {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -48,6 +49,9 @@ func TestBlobRoundTripAndDedup(t *testing.T) {
 	if s.HasBlob("deadbeef") { // malformed hash
 		t.Fatal("HasBlob accepted malformed hash")
 	}
+	if _, err := s.GetBlob(strings.ToUpper(h1)); err == nil || strings.Contains(err.Error(), "corrupted") {
+		t.Fatalf("GetBlob of the uppercase hash: %v, want not found", err)
+	}
 	if _, err := s.GetBlob(HashBytes([]byte("absent"))); err == nil {
 		t.Fatal("GetBlob of absent blob succeeded")
 	}
@@ -82,17 +86,16 @@ func TestBlobConcurrentPut(t *testing.T) {
 	wg.Wait()
 }
 
-// TestBlobFanoutAcrossReopen puts enough blobs to touch most of the 256
-// fan-out directories, then reopens the store: the new Store starts with an
-// empty directory set, so its first put into each existing directory must
-// succeed, and every blob must still read back.
-func TestBlobFanoutAcrossReopen(t *testing.T) {
+// TestBlobsAcrossReopen puts 1000 blobs, then reopens the store: the new
+// Store rebuilds its index from the pack, so re-putting half of them is a
+// dedup hit, and every blob put before or after the reopen reads back.
+func TestBlobsAcrossReopen(t *testing.T) {
 	dir := t.TempDir()
 	put := func(s *Store, from, to int) map[string][]byte {
 		t.Helper()
 		blobs := make(map[string][]byte)
 		for i := from; i < to; i++ {
-			data := []byte(fmt.Sprintf("fanout-%d", i))
+			data := []byte(fmt.Sprintf("blob-%d", i))
 			h, err := s.PutBlob(data)
 			if err != nil {
 				t.Fatal(err)
@@ -107,13 +110,6 @@ func TestBlobFanoutAcrossReopen(t *testing.T) {
 	}
 	first := put(s, 0, 1000)
 	s.Close()
-	fans, err := os.ReadDir(filepath.Join(dir, "blobs"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(fans) < 200 {
-		t.Fatalf("1000 puts created only %d fan-out directories", len(fans))
-	}
 
 	s, err = Open(dir)
 	if err != nil {
@@ -130,6 +126,210 @@ func TestBlobFanoutAcrossReopen(t *testing.T) {
 			if err != nil || !bytes.Equal(got, data) {
 				t.Fatalf("blob %s after reopen: %v", h, err)
 			}
+		}
+	}
+}
+
+// TestPackCreatedByFirstPut pins lazy creation: Open leaves no pack behind,
+// and the first put creates it.
+func TestPackCreatedByFirstPut(t *testing.T) {
+	s, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	pack := filepath.Join(s.Root(), "blobs", "pack")
+	if _, err := os.Stat(pack); !os.IsNotExist(err) {
+		t.Fatalf("Open created the pack (stat err %v)", err)
+	}
+	if err := s.SaveCheckpoint("c", 1); err != nil { // syncs an absent pack
+		t.Fatal(err)
+	}
+	if _, err := s.PutBlob([]byte("first")); err != nil {
+		t.Fatal(err)
+	}
+	info, err := os.Stat(pack)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := int64(recordHeader + len("first")); info.Size() != want {
+		t.Fatalf("pack is %d bytes after one put, want %d", info.Size(), want)
+	}
+}
+
+// TestPackTornTail truncates the pack at every byte offset inside its last
+// record, as a writer killed mid-put would leave it, and reopens: earlier
+// blobs read back, the torn one is absent, and the next put appends cleanly
+// and survives another reopen.
+func TestPackTornTail(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var kept []string
+	for i := 0; i < 3; i++ {
+		h, err := s.PutBlob([]byte(fmt.Sprintf("kept-%d", i)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		kept = append(kept, h)
+	}
+	pack := filepath.Join(dir, "blobs", "pack")
+	info, err := os.Stat(pack)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lastOff := info.Size()
+	torn := []byte("the record a killed writer was appending")
+	tornHash, err := s.PutBlob(torn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Close()
+	whole, err := os.ReadFile(pack)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if int64(len(whole)) != lastOff+recordHeader+int64(len(torn)) {
+		t.Fatalf("pack is %d bytes, want %d", len(whole), lastOff+recordHeader+int64(len(torn)))
+	}
+	after := []byte("appended after the torn record")
+	for cut := lastOff; cut < int64(len(whole)); cut++ {
+		if err := os.WriteFile(pack, whole[:cut], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		for reopen := 0; reopen < 2; reopen++ {
+			s, err := Open(dir)
+			if err != nil {
+				t.Fatalf("cut %d: open: %v", cut, err)
+			}
+			for i, h := range kept {
+				got, err := s.GetBlob(h)
+				if err != nil || string(got) != fmt.Sprintf("kept-%d", i) {
+					t.Fatalf("cut %d: kept blob %d: %q, %v", cut, i, got, err)
+				}
+			}
+			if s.HasBlob(tornHash) {
+				t.Fatalf("cut %d: torn blob indexed", cut)
+			}
+			if reopen == 0 {
+				if info, err := os.Stat(pack); err != nil || info.Size() != lastOff {
+					t.Fatalf("cut %d: torn tail not truncated (stat %v, %v)", cut, info, err)
+				}
+				if _, err := s.PutBlob(after); err != nil {
+					t.Fatal(err)
+				}
+			}
+			got, err := s.GetBlob(HashBytes(after))
+			if err != nil || !bytes.Equal(got, after) {
+				t.Fatalf("cut %d reopen %d: blob put after truncation: %q, %v", cut, reopen, got, err)
+			}
+			s.Close()
+		}
+	}
+}
+
+// TestBlobHammer runs overlapping puts, gets, has and stat queries from 8
+// goroutines; under -race it checks the index and append locking.
+func TestBlobHammer(t *testing.T) {
+	s, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				// Goroutines share half their blobs with a neighbour.
+				data := bytes.Repeat([]byte(fmt.Sprintf("hammer-%d-", (g/2)*1000+i)), 1+i%7)
+				h := HashBytes(data)
+				if size, ok := s.StatBlob(h); ok && size != int64(len(data)) {
+					t.Errorf("StatBlob(%s) = %d, want %d", h, size, len(data))
+					return
+				}
+				if got, err := s.PutBlob(data); err != nil || got != h {
+					t.Errorf("PutBlob = %s, %v", got, err)
+					return
+				}
+				if !s.HasBlob(h) {
+					t.Errorf("HasBlob(%s) = false after put", h)
+					return
+				}
+				if got, err := s.GetBlob(h); err != nil || !bytes.Equal(got, data) {
+					t.Errorf("GetBlob(%s): %v", h, err)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	st := s.Stats()
+	if st.BlobsWritten != 4*200 || st.BlobsWritten+st.BlobDedupHits != 8*200 {
+		t.Fatalf("stats = %+v, want 800 written of 1600 puts", st)
+	}
+}
+
+// TestLegacyBlobsImported opens a store in the one-file-per-blob layout:
+// each well-formed blob moves into the pack, stray temp files and blobs
+// whose bytes do not match their name are dropped, and the old files and
+// directories are gone.
+func TestLegacyBlobsImported(t *testing.T) {
+	dir := t.TempDir()
+	legacy := func(name string, data []byte) string {
+		t.Helper()
+		fan := filepath.Join(dir, "blobs", name[:2])
+		if err := os.MkdirAll(fan, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(fan, name), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return name
+	}
+	want := map[string][]byte{}
+	for i := 0; i < 20; i++ {
+		data := []byte(fmt.Sprintf("legacy-%d", i))
+		want[legacy(HashBytes(data), data)] = data
+	}
+	corrupt := legacy(HashBytes([]byte("original")), []byte("bit-rotted"))
+	legacy(".blob-12345", []byte("half a put"))
+
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	entries, err := os.ReadDir(filepath.Join(dir, "blobs"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 1 || entries[0].Name() != "pack" {
+		t.Fatalf("blobs/ after import holds %d entries, want only the pack", len(entries))
+	}
+	if s.HasBlob(corrupt) {
+		t.Fatal("corrupt legacy blob imported")
+	}
+	// A re-put of an imported blob is a dedup hit.
+	if _, err := s.PutBlob([]byte("legacy-0")); err != nil {
+		t.Fatal(err)
+	}
+	if st := s.Stats(); st.BlobDedupHits != 1 || st.BlobsWritten != 0 {
+		t.Fatalf("stats = %+v, want the re-put deduped", st)
+	}
+	s.Close()
+
+	s, err = Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	for h, data := range want {
+		got, err := s.GetBlob(h)
+		if err != nil || !bytes.Equal(got, data) {
+			t.Fatalf("imported blob %s: %q, %v", h, got, err)
 		}
 	}
 }

@@ -1,9 +1,6 @@
 package store
 
-import (
-	"fmt"
-	"os"
-)
+import "fmt"
 
 // Batch blob-sync primitives. A cluster worker negotiates transfers by hash:
 // it asks which of a shard's referenced blobs the peer already has
@@ -60,13 +57,6 @@ func (s *Store) GetBatch(hashes []string) ([][]byte, error) {
 // it exists. Sync manifests carry (hash, size) pairs so referenced bytes can
 // be accounted without transferring anything.
 func (s *Store) StatBlob(hash string) (int64, bool) {
-	path, err := s.blobPath(hash)
-	if err != nil {
-		return 0, false
-	}
-	fi, err := os.Stat(path)
-	if err != nil {
-		return 0, false
-	}
-	return fi.Size(), true
+	loc, _, ok := s.lookup(hash)
+	return int64(loc.n), ok
 }
