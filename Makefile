@@ -113,9 +113,12 @@ baseline:
 # shrinking the sync protocol, and pipelined-ms (that leg's wall time under
 # 20 ms injected latency) above 1.5x means the pipeline stopped hiding
 # round trips. BENCH_pr13.json is a three-pass merge keeping each guarded
-# metric's worst value in its gate direction.
+# metric's worst value in its gate direction. The last pass guards the
+# control-flow analyses against BENCH_pr16.json: BenchmarkCFAAnalyze
+# allocs/op above 1.5x baseline means a map or per-block slice came back
+# into cfa, which replay calls once per transformation precondition.
 bench-compare:
-	$(GO) test -short -run '^$$' -bench 'Reduce|Replay|Resume|RunAll|InterpVM|Cluster|Bisect|Memo' -benchtime=1x -benchmem . \
+	$(GO) test -short -run '^$$' -bench 'Reduce|Replay|Resume|RunAll|InterpVM|Cluster|Bisect|Memo|CFA' -benchtime=1x -benchmem . \
 		| tee /dev/stderr | awk -f scripts/bench2json.awk > /tmp/bench-current.json
 	$(GO) run ./scripts/benchcompare -baseline BENCH_pr13.json \
 		-current /tmp/bench-current.json
@@ -143,6 +146,9 @@ bench-compare:
 	$(GO) run ./scripts/benchcompare -baseline BENCH_pr13.json \
 		-current /tmp/bench-current.json -metric pipelined-ms -mode max -tolerance 1.5 \
 		-only BenchmarkClusterPipeline
+	$(GO) run ./scripts/benchcompare -baseline BENCH_pr16.json \
+		-current /tmp/bench-current.json -metric allocs/op -mode max -tolerance 1.5 \
+		-only BenchmarkCFAAnalyze
 
 # CPU- and memory-profile the parallel-reduction campaign benchmark and
 # print the top-10 functions by flat CPU time and by bytes allocated — the

@@ -37,6 +37,7 @@ import (
 	"spirvfuzz/internal/runner"
 	"spirvfuzz/internal/service"
 	"spirvfuzz/internal/spirv"
+	"spirvfuzz/internal/spirv/cfa"
 	"spirvfuzz/internal/spirv/validate"
 	"spirvfuzz/internal/store"
 	"spirvfuzz/internal/target"
@@ -1203,6 +1204,49 @@ func BenchmarkRenderLoop(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkCFAAnalyze measures the control-flow analyses as replay's
+// preconditions use them: one op runs cfa.Analyze on every function of a
+// fixed set of fuzzed corpus variants (one per reference) and asks
+// AvailableAt for every body result at the end of its block. Its allocs/op
+// is guarded by make bench-compare: the analyses allocate a handful of flat
+// slices per call, and a map or a per-block slice creeping back in shows as
+// a jump.
+func BenchmarkCFAAnalyze(b *testing.B) {
+	var mods []*spirv.Module
+	for i, item := range corpus.References() {
+		res, err := fuzz.Fuzz(item.Mod, item.Inputs, fuzz.Options{Seed: int64(i), Donors: corpus.Donors(), EnableRecommendations: true})
+		if err != nil {
+			b.Fatal(err)
+		}
+		mods = append(mods, res.Variant)
+	}
+	analyses, available := 0, 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for range b.N {
+		for _, m := range mods {
+			for _, fn := range m.Functions {
+				info := cfa.Analyze(m, fn)
+				analyses++
+				for _, blk := range fn.Blocks {
+					end := info.PosOf(blk, len(blk.Body))
+					for _, ins := range blk.Body {
+						if info.AvailableAt(ins.Result, blk.Label, end) {
+							available++
+						}
+					}
+				}
+			}
+		}
+	}
+	b.StopTimer()
+	if available == 0 {
+		b.Fatal("no body result is available at its block's end: the queries are vacuous")
+	}
+	b.ReportMetric(float64(analyses)/float64(b.N), "analyses/op")
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(analyses), "ns/analysis")
 }
 
 // BenchmarkValidateVariant measures validation of a fuzzed variant.

@@ -1,6 +1,8 @@
 package fuzz
 
 import (
+	"slices"
+
 	"spirvfuzz/internal/spirv"
 	"spirvfuzz/internal/spirv/cfa"
 )
@@ -227,13 +229,15 @@ func hasLoopTransitively(m *spirv.Module, fn *spirv.Function) bool {
 // insideLoop reports whether block lies inside some loop construct of fn:
 // a loop header dominates it and the loop's merge block does not.
 func insideLoop(fn *spirv.Function, block *spirv.Block) bool {
-	dom := cfa.Dominators(cfa.Build(fn))
-	for _, b := range fn.Blocks {
+	g := cfa.Build(fn)
+	dom := cfa.Dominators(g)
+	at := g.Index(block.Label)
+	for i, b := range fn.Blocks {
 		if b.Merge == nil || b.Merge.Op != spirv.OpLoopMerge {
 			continue
 		}
-		mergeBlk := spirv.ID(b.Merge.Operands[0])
-		if dom.Dominates(b.Label, block.Label) && !dom.Dominates(mergeBlk, block.Label) {
+		mergeBlk := g.Index(spirv.ID(b.Merge.Operands[0]))
+		if dom.Dominates(i, at) && !dom.Dominates(mergeBlk, at) {
 			return true
 		}
 	}
@@ -554,8 +558,8 @@ func (t *PropagateInstructionUp) Precondition(c *Context) bool {
 	if loc == nil || loc.Index != 0 || !movable(loc.Instr.Op) {
 		return false
 	}
-	g := cfa.Build(loc.Fn)
-	preds := uniqueIDs(g.Preds[loc.Block.Label])
+	info := cfa.Analyze(c.Mod, loc.Fn)
+	preds := uniquePreds(info.G, loc.Block.Label)
 	if len(preds) == 0 {
 		return false
 	}
@@ -581,7 +585,6 @@ func (t *PropagateInstructionUp) Precondition(c *Context) bool {
 		}
 		return id, true // not a ϕ of this block: used as-is
 	}
-	info := cfa.Analyze(c.Mod, loc.Fn)
 	for _, p := range preds {
 		pb := loc.Fn.Block(p)
 		if pb == nil {
@@ -612,8 +615,7 @@ func (t *PropagateInstructionUp) Precondition(c *Context) bool {
 // Apply performs the propagation.
 func (t *PropagateInstructionUp) Apply(c *Context) {
 	loc := c.FindInstruction(t.Instr)
-	g := cfa.Build(loc.Fn)
-	preds := uniqueIDs(g.Preds[loc.Block.Label])
+	preds := uniquePreds(cfa.Build(loc.Fn), loc.Block.Label)
 	phiValueFor := func(id spirv.ID, pred spirv.ID) spirv.ID {
 		for _, phi := range loc.Block.Phis {
 			if phi.Result != id {
@@ -648,14 +650,15 @@ func (t *PropagateInstructionUp) Apply(c *Context) {
 		spirv.NewInstr(spirv.OpPhi, loc.Instr.Type, loc.Instr.Result, phiOps...))
 }
 
-// uniqueIDs removes duplicates preserving order.
-func uniqueIDs(ids []spirv.ID) []spirv.ID {
-	seen := make(map[spirv.ID]bool, len(ids))
-	out := ids[:0:0]
-	for _, id := range ids {
-		if !seen[id] {
-			seen[id] = true
-			out = append(out, id)
+// uniquePreds returns the labels of the distinct predecessors of the block
+// labelled label, in edge order.
+func uniquePreds(g *cfa.CFG, label spirv.ID) []spirv.ID {
+	var out []spirv.ID
+	if i := g.Index(label); i >= 0 {
+		for _, p := range g.Preds(i) {
+			if l := g.Fn.Blocks[p].Label; !slices.Contains(out, l) {
+				out = append(out, l)
+			}
 		}
 	}
 	return out

@@ -1,6 +1,8 @@
 package opt
 
 import (
+	"slices"
+
 	"spirvfuzz/internal/spirv"
 	"spirvfuzz/internal/spirv/cfa"
 )
@@ -12,13 +14,13 @@ func EliminateDeadBlocks() Pass {
 		changed := false
 		for _, fn := range m.Functions {
 			reach := cfa.Build(fn).Reachable()
-			if len(reach) == len(fn.Blocks) {
+			if !slices.Contains(reach, false) {
 				continue
 			}
 			removed := make(map[spirv.ID]bool)
 			kept := fn.Blocks[:0]
-			for _, b := range fn.Blocks {
-				if reach[b.Label] {
+			for i, b := range fn.Blocks {
+				if reach[i] {
 					kept = append(kept, b)
 				} else {
 					removed[b.Label] = true
@@ -47,22 +49,33 @@ func EliminateDeadBlocks() Pass {
 // to ids that no longer exist.
 func DCE() Pass {
 	return Pass{Name: "dce", Run: func(m *spirv.Module) (bool, error) {
+		// One id-indexed table serves the whole run: use counts during the
+		// fixpoint, then existence marks for the debug-info filter. Ids past
+		// the table (at or above the bound, which only an invalid module
+		// has) count as used and as existing, so they stay.
+		tab := make([]int32, min(int64(m.Bound), cfa.MaxTable))
+		mark := func(id spirv.ID) {
+			if int(id) < len(tab) {
+				tab[id]++
+			}
+		}
+		marked := func(id spirv.ID) bool { return int(id) >= len(tab) || tab[id] != 0 }
 		changedAny := false
 		for {
-			uses := make(map[spirv.ID]int)
+			clear(tab)
 			m.ForEachInstruction(func(ins *spirv.Instruction) {
 				switch ins.Op {
 				case spirv.OpName, spirv.OpMemberName, spirv.OpDecorate, spirv.OpMemberDecorate:
 					return // debug info does not keep values alive
 				}
-				ins.Uses(func(id spirv.ID) { uses[id]++ })
+				ins.Uses(mark)
 			})
 			changed := false
 			for _, fn := range m.Functions {
 				for _, b := range fn.Blocks {
 					kept := b.Body[:0]
 					for _, ins := range b.Body {
-						dead := ins.Result != 0 && uses[ins.Result] == 0 &&
+						dead := ins.Result != 0 && !marked(ins.Result) &&
 							!ins.Op.HasSideEffects() && ins.Op != spirv.OpVariable
 						if dead {
 							changed = true
@@ -74,7 +87,7 @@ func DCE() Pass {
 					// ϕs with unused results are removable too.
 					keptPhis := b.Phis[:0]
 					for _, phi := range b.Phis {
-						if uses[phi.Result] == 0 {
+						if !marked(phi.Result) {
 							changed = true
 							continue
 						}
@@ -90,21 +103,21 @@ func DCE() Pass {
 		}
 		if changedAny {
 			// Drop names/decorations for ids that no longer exist.
-			exists := make(map[spirv.ID]bool)
+			clear(tab)
 			m.ForEachInstruction(func(ins *spirv.Instruction) {
 				if ins.Result != 0 {
-					exists[ins.Result] = true
+					mark(ins.Result)
 				}
 			})
 			for _, fn := range m.Functions {
 				for _, b := range fn.Blocks {
-					exists[b.Label] = true
+					mark(b.Label)
 				}
 			}
 			filter := func(list []*spirv.Instruction) []*spirv.Instruction {
 				kept := list[:0]
 				for _, ins := range list {
-					if exists[spirv.ID(ins.Operands[0])] {
+					if marked(spirv.ID(ins.Operands[0])) {
 						kept = append(kept, ins)
 					}
 				}
@@ -167,39 +180,24 @@ func BlockLayout() Pass {
 	return Pass{Name: "block-layout", Run: func(m *spirv.Module) (bool, error) {
 		changed := false
 		for _, fn := range m.Functions {
+			// Reachable blocks are in RPO exactly when their indices, taken
+			// in RPO, increase.
 			rpo := cfa.Build(fn).ReversePostOrder()
-			pos := make(map[spirv.ID]int, len(rpo))
-			for i, l := range rpo {
-				pos[l] = i
-			}
-			inOrder := true
-			prev := -1
-			for _, b := range fn.Blocks {
-				p, reachable := pos[b.Label]
-				if !reachable {
-					continue
-				}
-				if p < prev {
-					inOrder = false
-					break
-				}
-				prev = p
-			}
-			if inOrder {
+			if slices.IsSorted(rpo) {
 				continue
 			}
-			var reachableBlocks, orphans []*spirv.Block
-			byLabel := make(map[spirv.ID]*spirv.Block, len(fn.Blocks))
-			for _, b := range fn.Blocks {
-				byLabel[b.Label] = b
-				if _, ok := pos[b.Label]; !ok {
-					orphans = append(orphans, b)
+			reachable := make([]bool, len(fn.Blocks))
+			blocks := make([]*spirv.Block, 0, len(fn.Blocks))
+			for _, i := range rpo {
+				reachable[i] = true
+				blocks = append(blocks, fn.Blocks[i])
+			}
+			for i, b := range fn.Blocks {
+				if !reachable[i] {
+					blocks = append(blocks, b)
 				}
 			}
-			for _, l := range rpo {
-				reachableBlocks = append(reachableBlocks, byLabel[l])
-			}
-			fn.Blocks = append(reachableBlocks, orphans...)
+			fn.Blocks = blocks
 			changed = true
 		}
 		return changed, nil
@@ -232,15 +230,15 @@ func MergeBlocks() Pass {
 						continue
 					}
 					succ := b.Term.IDOperand(0)
-					sb := fn.Block(succ)
-					if sb == nil || sb == b || len(g.Preds[succ]) != 1 || len(sb.Phis) != 0 || reserved[succ] {
+					idx := g.Index(succ)
+					if idx < 0 || fn.Blocks[idx] == b || len(g.Preds(idx)) != 1 || len(fn.Blocks[idx].Phis) != 0 || reserved[succ] {
 						continue
 					}
 					// Splice successor into b and drop it.
+					sb := fn.Blocks[idx]
 					b.Body = append(b.Body, sb.Body...)
 					b.Merge = sb.Merge
 					b.Term = sb.Term
-					idx := fn.BlockIndex(succ)
 					fn.Blocks = append(fn.Blocks[:idx], fn.Blocks[idx+1:]...)
 					// ϕs in b's new successors referred to the dropped label.
 					for _, s := range b.Successors() {
@@ -274,6 +272,11 @@ func EliminateRedundantPhis() Pass {
 	return Pass{Name: "eliminate-redundant-phis", Run: func(m *spirv.Module) (bool, error) {
 		changed := false
 		for _, fn := range m.Functions {
+			// One analysis serves the whole function: rewriting a ϕ into a
+			// body copy moves a definition within its block, which changes
+			// no cross-block answer, and a same-block definition is never
+			// available at position 0 either way.
+			var info *cfa.Info
 			for _, b := range fn.Blocks {
 				keptPhis := b.Phis[:0]
 				for _, phi := range b.Phis {
@@ -301,7 +304,9 @@ func EliminateRedundantPhis() Pass {
 					// defined in one of the predecessors on a back edge.
 					// Conservatively require it to be available at position 0
 					// of this block.
-					info := cfa.Analyze(m, fn)
+					if info == nil {
+						info = cfa.Analyze(m, fn)
+					}
 					if !info.AvailableAt(unique, b.Label, 0) {
 						keptPhis = append(keptPhis, phi)
 						continue

@@ -20,7 +20,9 @@ import (
 // module and the inputs it executes on (input-modifying transformations may
 // have changed them in sync with the module), it reports whether the bug
 // still appears to be triggered. Tests built by the *On constructors are safe
-// for concurrent calls, which ReduceParallel relies on.
+// for concurrent calls, which ReduceParallel relies on. The module and inputs
+// are read-only: a replay may share them with its snapshot cache and with
+// concurrent queries.
 type Interestingness func(variant *spirv.Module, in interp.Inputs) bool
 
 // Runner abstracts target execution so reductions can route through a shared
@@ -92,10 +94,11 @@ type Result struct {
 	Kept []int
 	// Sequence is the minimized transformation sequence.
 	Sequence []fuzz.Transformation
-	// Variant is the reduced variant module.
+	// Variant is the reduced variant module, and Inputs the inputs it
+	// executes on. Both come from a replay and are read-only: they may be
+	// shared with the replay engine's snapshot cache.
 	Variant *spirv.Module
-	// Inputs are the inputs the reduced variant executes on.
-	Inputs interp.Inputs
+	Inputs  interp.Inputs
 	// Delta is the size of the final delta: the difference in instruction
 	// counts between the original module and the reduced variant — the
 	// reduction-quality measure of Section 4.2.

@@ -14,9 +14,16 @@
 // clones only that snapshot, and applies the remaining suffix, recording
 // fresh snapshots at geometrically spaced depths on the way so that memory
 // stays logarithmic in the sequence length. Transformation application is
-// deterministic and snapshots are immutable (every hit clones), so a replay
-// served from the cache is bitwise-identical to a fresh replay — property
-// tests in this package verify that via the binary encoding.
+// deterministic and snapshots are immutable, so a replay served from the
+// cache is bitwise-identical to a fresh replay — property tests in this
+// package verify that via the binary encoding.
+//
+// Replayed contexts are read-only. A query whose whole keep-set is cached
+// returns the snapshot's context itself, and a query that records its final
+// depth stores the context it returns, so neither pays for a clone; a
+// partial hit clones the snapshot before applying the suffix. Every caller
+// only reads the result: reduction hands the module and inputs to an
+// interestingness oracle, and compilation clones before it mutates.
 package replay
 
 import (
@@ -75,7 +82,8 @@ func (k key) step(x uint64) key {
 }
 
 // snapshot is one cached context. Immutable once stored: Replay clones it
-// before applying anything.
+// before applying a suffix, and hands it out as is only to read-only
+// callers of a full hit.
 type snapshot struct {
 	key     key
 	ctx     *fuzz.Context
@@ -144,6 +152,9 @@ type Engine struct {
 	lru     *list.List       // front = most recently used
 	seen    map[key]struct{} // prefix keys requested once; second touch records
 	session atomic.Uint64
+	// inserted, when set, observes each snapshot context as it is stored;
+	// tests use it to check that stored contexts never change.
+	inserted func(*fuzz.Context)
 
 	queries   atomic.Uint64
 	hits      atomic.Uint64
@@ -231,6 +242,9 @@ func (e *Engine) shouldRecord(k key) bool {
 // the byte budget. Duplicate keys (two goroutines racing to record the same
 // prefix) keep the existing entry.
 func (e *Engine) insert(snap *snapshot) {
+	if e.inserted != nil {
+		e.inserted(snap.ctx)
+	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if _, ok := e.byKey[snap.key]; ok {
@@ -318,9 +332,12 @@ func (s *Session) Commit(slot int, t fuzz.Transformation) {
 
 // Replay replays the subsequence of the session's transformations selected
 // by keep (sorted indices), resuming from the deepest cached prefix
-// snapshot. It returns the resulting context — owned by the caller, never
-// shared with the cache — and the indices actually applied, exactly as
-// fuzz.ReplaySubsequenceContext would.
+// snapshot. It returns the resulting context and the indices actually
+// applied, exactly as fuzz.ReplaySubsequenceContext would. The context may
+// be shared with the cache and with concurrent callers: it is read-only —
+// its fact set too, whose queries compress paths in place — and a caller
+// that needs to modify or query it must Clone it first. The applied slice
+// is the caller's own.
 func (s *Session) Replay(keep []int) (*fuzz.Context, []int) {
 	return s.replay(keep, len(keep), nil)
 }
@@ -329,7 +346,8 @@ func (s *Session) Replay(keep []int) (*fuzz.Context, []int) {
 // replaced by t for this query only. Cached prefixes are used (and fresh
 // snapshots recorded) only below the override's position in keep; the
 // override and everything after it are always applied live. A slot absent
-// from keep degrades to a plain Replay.
+// from keep degrades to a plain Replay. The returned context is read-only,
+// as for Replay.
 func (s *Session) ReplayOverride(keep []int, slot int, t fuzz.Transformation) (*fuzz.Context, []int) {
 	limit := len(keep)
 	for i, k := range keep {
@@ -372,7 +390,7 @@ func (s *Session) replay(keep []int, limit int, override func(i int) fuzz.Transf
 		}
 		for d := limit; d >= 1; d-- {
 			if snap := e.lookup(keys[d]); snap != nil {
-				ctx = snap.ctx.Clone()
+				ctx = snap.ctx
 				applied = append(make([]int, 0, len(keep)), snap.applied...)
 				depth = d
 				break
@@ -389,8 +407,9 @@ func (s *Session) replay(keep []int, limit int, override func(i int) fuzz.Transf
 		e.hits.Add(1)
 		if depth == len(keep) {
 			e.fullHits.Add(1)
-			return ctx, applied
+			return ctx, applied // the snapshot itself: read-only
 		}
+		ctx = ctx.Clone()
 	}
 
 	// Snapshot recording is capped per query: each snapshot costs a full
@@ -414,9 +433,13 @@ func (s *Session) replay(keep []int, limit int, override func(i int) fuzz.Transf
 		if cached && records < maxRecordsPerQuery && i+1 <= limit &&
 			recordAt(i+1, len(keep), limit) && e.shouldRecord(keys[i+1]) {
 			records++
+			snap := ctx
+			if i+1 < len(keep) {
+				snap = ctx.Clone() // the suffix goes on mutating ctx
+			}
 			e.insert(&snapshot{
 				key:     keys[i+1],
-				ctx:     ctx.Clone(),
+				ctx:     snap,
 				applied: append([]int(nil), applied...),
 				bytes:   contextBytes(ctx),
 			})

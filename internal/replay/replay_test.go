@@ -2,6 +2,8 @@ package replay_test
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"fmt"
 	"math/rand"
 	"sync"
 	"testing"
@@ -9,6 +11,7 @@ import (
 	"spirvfuzz/internal/corpus"
 	"spirvfuzz/internal/fuzz"
 	"spirvfuzz/internal/interp"
+	"spirvfuzz/internal/reduce"
 	"spirvfuzz/internal/replay"
 	"spirvfuzz/internal/spirv"
 )
@@ -256,4 +259,77 @@ func TestSessionVerify(t *testing.T) {
 			t.Fatal("Verify reported divergence on an honest session")
 		}
 	}
+}
+
+// contextDigest hashes everything a snapshot holds that a reader could
+// change: the module's encoding, the inputs and the fact set.
+func contextDigest(t *testing.T, c *fuzz.Context) [sha256.Size]byte {
+	t.Helper()
+	in, err := interp.EncodeInputs(c.Inputs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := sha256.New()
+	h.Write(c.Mod.EncodeBytes())
+	h.Write(in)
+	fmt.Fprint(h, c.Facts.DeadBlocks(), c.Facts.IrrelevantIDs(), c.Facts.IrrelevantPointees(), c.Facts.ApproxBytes())
+	var out [sha256.Size]byte
+	h.Sum(out[:0])
+	return out
+}
+
+// TestSnapshotsStayUnchangedUnderParallelReduction pins the read-only
+// contract of replayed contexts: every snapshot is digested as it is
+// stored, a parallel reduction then hands full hits and full-depth records
+// to concurrent oracles, and at the end every snapshot still has its
+// insert-time digest. Run under -race, it also catches a write to a shared
+// context.
+func TestSnapshotsStayUnchangedUnderParallelReduction(t *testing.T) {
+	eng := replay.NewEngine(replay.DefaultBudget)
+	var mu sync.Mutex
+	digests := map[*fuzz.Context][sha256.Size]byte{}
+	replay.OnInsert(eng, func(c *fuzz.Context) {
+		d := contextDigest(t, c)
+		mu.Lock()
+		defer mu.Unlock()
+		if old, ok := digests[c]; ok && old != d {
+			t.Error("a stored context changed before it was stored again")
+		}
+		digests[c] = d
+	})
+	for _, sc := range sequences(t) {
+		// Interesting while the variant keeps at least a third of the
+		// instructions the whole sequence adds: a monotone test that keeps
+		// a real subset and reads every module it gets.
+		full, _ := fuzz.ReplaySubsequenceContext(sc.mod, sc.inputs, sc.ts, seqIdx(len(sc.ts)))
+		base := sc.mod.InstructionCount()
+		need := (full.Mod.InstructionCount() - base) / 3
+		interesting := func(m *spirv.Module, in interp.Inputs) bool {
+			_ = m.Fingerprint()
+			_, _ = interp.EncodeInputs(in)
+			return m.InstructionCount()-base >= need
+		}
+		res := reduce.ReduceParallelReplay(sc.mod, sc.inputs, sc.ts, interesting, 4, eng)
+		if !interesting(res.Variant, res.Inputs) {
+			t.Fatal("the reduced variant is not interesting")
+		}
+	}
+	st := eng.Stats()
+	if st.FullHits == 0 || len(digests) == 0 {
+		t.Fatalf("no full hits (%d) or no snapshots (%d): the test is vacuous", st.FullHits, len(digests))
+	}
+	for c, d := range digests {
+		if contextDigest(t, c) != d {
+			t.Fatal("a snapshot changed after it was stored")
+		}
+	}
+}
+
+// seqIdx returns [0, n).
+func seqIdx(n int) []int {
+	out := make([]int, n)
+	for i := range out {
+		out[i] = i
+	}
+	return out
 }

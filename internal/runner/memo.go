@@ -46,7 +46,7 @@ func (e *Engine) MemoStore() *memostore.Store { return e.memo }
 // fingerprint, grid, uniforms hash).
 func resultMemoKey(k key) memostore.Key {
 	h := sha256.New()
-	h.Write([]byte("spirvfuzz/memo/result/v2\x00"))
+	h.Write([]byte("spirvfuzz/memo/result/v3\x00"))
 	h.Write([]byte(k.target))
 	h.Write([]byte{0})
 	h.Write(k.mod[:])

@@ -31,9 +31,11 @@ package runner
 import (
 	"context"
 	"crypto/sha256"
+	"encoding/binary"
 	"errors"
-	"reflect"
+	"math"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -49,8 +51,6 @@ import (
 const (
 	// defaultCacheCap bounds total cached results across all shards.
 	defaultCacheCap = 1 << 14
-	// maxUniformMemo bounds the uniforms-hash memo (entries pin their maps).
-	maxUniformMemo = 4096
 	// parallelRenderMinPixels gates row-parallel rendering: grids below it
 	// render serially even when SetRenderWorkers enabled parallelism, because
 	// goroutine fan-out costs more than the render itself on small grids.
@@ -109,21 +109,9 @@ type planned struct {
 	errMsg string
 }
 
-// uniHash memoizes the hash of one uniforms map. The map itself is retained
-// so its address (the memo key) cannot be reused by a different map while
-// the entry is alive.
-type uniHash struct {
-	ref  map[string]interp.Value
-	hash [sha256.Size]byte
-}
-
 func keyShard(k key) byte                { return k.mod[0] }
 func ckeyShard(k ckey) byte              { return k.mod[0] }
 func hashShard(h [sha256.Size]byte) byte { return h[0] }
-
-// pointerShard spreads map addresses, whose low bits are alignment, across
-// shards with a Fibonacci hash.
-func pointerShard(p uintptr) byte { return byte(uint64(p) * 0x9E3779B97F4A7C15 >> 56) }
 
 // Stats is a point-in-time snapshot of engine counters.
 type Stats struct {
@@ -197,7 +185,6 @@ type Engine struct {
 	compiles      *flight.Cache[ckey, compiled]             // (module, mutations)
 	plans         *flight.Cache[[sha256.Size]byte, planned] // compiled module -> Program
 	renders       *flight.Cache[key, rendered]              // ("", compiled module, inputs)
-	uniforms      *flight.Cache[uintptr, uniHash]           // uniforms map address -> hash
 
 	// memo is the optional persistent fifth tier (see memo.go); nil when
 	// no store is attached.
@@ -230,7 +217,6 @@ func New(workers int) *Engine {
 		compiles:    flight.New[ckey, compiled](per, ckeyShard),
 		plans:       flight.New[[sha256.Size]byte, planned](per, hashShard),
 		renders:     flight.New[key, rendered](per, keyShard),
-		uniforms:    flight.New[uintptr, uniHash](maxUniformMemo/flight.Shards, pointerShard),
 	}
 }
 
@@ -347,7 +333,7 @@ func (e *Engine) RunAllCtx(ctx context.Context, targets []*target.Target, m *spi
 			return err
 		}
 	} else {
-		base := key{mod: m.Fingerprint(), w: in.W, h: in.H, uni: e.uniformsHash(in.Uniforms)}
+		base := key{mod: m.Fingerprint(), w: in.W, h: in.H, uni: uniformsHash(in.Uniforms)}
 		run = func(i int) error {
 			k := base
 			k.target = targetKey(targets[i])
@@ -601,39 +587,83 @@ func targetKey(tg *target.Target) string {
 }
 
 // keyFor builds the content-addressed cache key. With sharing on, the module
-// hash is the memoized fingerprint and the inputs hash is the memoized
-// uniforms hash (width and height travel as explicit key fields); with
-// sharing off, both are recomputed from a fresh encoding on every call — the
-// pre-phase-split behaviour the benchmarks baseline against.
+// hash is the memoized fingerprint; with sharing off, it is recomputed from
+// a fresh encoding on every call — the pre-phase-split behaviour the
+// benchmarks baseline against. Either way the inputs travel as the grid and
+// the uniforms' content hash.
 func (e *Engine) keyFor(tg *target.Target, m *spirv.Module, in interp.Inputs) key {
+	k := key{target: targetKey(tg), w: in.W, h: in.H, uni: uniformsHash(in.Uniforms)}
 	if e.sharing {
-		return key{target: targetKey(tg), mod: m.Fingerprint(), w: in.W, h: in.H, uni: e.uniformsHash(in.Uniforms)}
-	}
-	k := key{target: targetKey(tg), mod: sha256.Sum256(m.EncodeBytes())}
-	// EncodeInputs is deterministic (encoding/json sorts map keys). Inputs
-	// that fail to encode share a sentinel hash; they would fail identically
-	// inside the interpreter anyway.
-	if data, err := interp.EncodeInputs(in); err == nil {
-		k.uni = sha256.Sum256(data)
+		k.mod = m.Fingerprint()
+	} else {
+		k.mod = sha256.Sum256(m.EncodeBytes())
 	}
 	return k
 }
 
-// uniformsHash returns the hash of a uniforms map, memoized by the map's
-// address: campaigns and reductions query thousands of runs against a
-// handful of long-lived input maps, so the JSON encoding runs once per map
-// instead of once per call. Entries retain the map they hashed, so an
-// address cannot be recycled by a different live map; callers must not
-// mutate a uniforms map after its first engine run (nothing in the repo
-// does — inputs are cloned before fuzzing mutates them). Uniforms that fail
-// to encode share a zero sentinel distinct from every real hash.
-func (e *Engine) uniformsHash(u map[string]interp.Value) [sha256.Size]byte {
-	v, _ := e.uniforms.Do(context.Background(), reflect.ValueOf(u).Pointer(), func() (uniHash, error) {
-		v := uniHash{ref: u}
-		if data, err := interp.EncodeInputs(interp.Inputs{Uniforms: u}); err == nil {
-			v.hash = sha256.Sum256(data)
+// Kind tags of the uniforms encoding. They are spelled out rather than
+// taken from interp.Kind, whose numbering may change: the hash keys the
+// persistent memo.
+const (
+	uniBool      = 'b'
+	uniInt       = 'i'
+	uniFloat     = 'f'
+	uniComposite = 'c'
+)
+
+// uniformsHash returns the SHA-256 of a canonical binary encoding of a
+// uniforms map: the names in sorted order, each length-prefixed and
+// followed by its value as a kind tag and raw bits — a bool as one byte, an
+// int as its 32 bits, a float as math.Float32bits (so -0 and +0 differ), a
+// composite as its length and then its elements. The encoding is
+// prefix-free, so distinct maps never share a byte string. A map holding a
+// value no uniform can carry (unset, pointer) hashes to the zero sentinel,
+// distinct from every real hash; it would fail identically inside the
+// interpreter anyway. Content hashing makes the key independent of which
+// copy of the inputs a caller holds: replay clones them per query.
+func uniformsHash(u map[string]interp.Value) [sha256.Size]byte {
+	var nameBuf [16]string
+	names := nameBuf[:0]
+	for name := range u {
+		names = append(names, name)
+	}
+	slices.Sort(names)
+	var scratch [256]byte
+	buf := scratch[:0]
+	for _, name := range names {
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(name)))
+		buf = append(buf, name...)
+		var ok bool
+		if buf, ok = appendUniform(buf, u[name]); !ok {
+			return [sha256.Size]byte{}
 		}
-		return v, nil
-	})
-	return v.hash
+	}
+	return sha256.Sum256(buf)
+}
+
+// appendUniform appends v's encoding to buf, reporting false for a kind
+// that cannot be encoded.
+func appendUniform(buf []byte, v interp.Value) ([]byte, bool) {
+	switch v.Kind {
+	case interp.KindBool:
+		b := byte(0)
+		if v.B {
+			b = 1
+		}
+		return append(buf, uniBool, b), true
+	case interp.KindInt:
+		return binary.LittleEndian.AppendUint32(append(buf, uniInt), v.Bits), true
+	case interp.KindFloat:
+		return binary.LittleEndian.AppendUint32(append(buf, uniFloat), math.Float32bits(v.F)), true
+	case interp.KindComposite:
+		buf = binary.LittleEndian.AppendUint32(append(buf, uniComposite), uint32(len(v.Elems)))
+		for _, e := range v.Elems {
+			var ok bool
+			if buf, ok = appendUniform(buf, e); !ok {
+				return buf, false
+			}
+		}
+		return buf, true
+	}
+	return buf, false
 }

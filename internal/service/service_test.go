@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -532,5 +533,31 @@ func TestCrossBucketPrecheck(t *testing.T) {
 			}
 			seen[ty] = true
 		}
+	}
+}
+
+// TestOpenFreshStoreAndServiceAllocatesLittle pins the cost of opening a
+// fresh store and a service over it. Journal replay once sized its read
+// buffer at 1 MiB whatever the journal held, so every open allocated at
+// least that; it now sizes the buffer to the journal and skips an empty one.
+func TestOpenFreshStoreAndServiceAllocatesLittle(t *testing.T) {
+	dir := t.TempDir()
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	st, err := store.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := New(st, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	defer s.Close(context.Background())
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 256<<10 {
+		t.Fatalf("opening a fresh store and service allocated %d KiB, want under 256", got>>10)
+	} else {
+		t.Logf("allocated %d KiB", got>>10)
 	}
 }

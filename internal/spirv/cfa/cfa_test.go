@@ -35,20 +35,24 @@ func TestCFGAndReachability(t *testing.T) {
 	// 1 -> (2, 3); 2 -> 4; 3 -> 4; 4 halt; 5 orphan.
 	f := fnOf(t, []spirv.ID{1, 2, 3}, []spirv.ID{2, 4}, []spirv.ID{3, 4}, []spirv.ID{4}, []spirv.ID{5, 4})
 	g := cfa.Build(f)
-	if !reflect.DeepEqual(g.Succs[1], []spirv.ID{2, 3}) {
-		t.Fatalf("succs(1) = %v", g.Succs[1])
+	if !reflect.DeepEqual(g.Succs(0), []int32{1, 2}) {
+		t.Fatalf("succs(1) = %v", g.Succs(0))
 	}
-	preds := g.Preds[4]
-	if len(preds) != 3 { // 2, 3 and the orphan 5
+	if preds := g.Preds(3); !reflect.DeepEqual(preds, []int32{1, 2, 4}) { // 2, 3 and the orphan 5
 		t.Fatalf("preds(4) = %v", preds)
 	}
-	reach := g.Reachable()
-	for _, b := range []spirv.ID{1, 2, 3, 4} {
-		if !reach[b] {
-			t.Errorf("block %d should be reachable", b)
+	for label, want := range map[spirv.ID]int{1: 0, 4: 3, 5: 4, 6: -1, 0: -1, 1 << 30: -1} {
+		if got := g.Index(label); got != want {
+			t.Errorf("Index(%d) = %d, want %d", label, got, want)
 		}
 	}
-	if reach[5] {
+	reach := g.Reachable()
+	for i := range 4 {
+		if !reach[i] {
+			t.Errorf("block %d should be reachable", f.Blocks[i].Label)
+		}
+	}
+	if reach[4] {
 		t.Error("orphan block 5 must be unreachable")
 	}
 }
@@ -64,44 +68,51 @@ func TestDominators(t *testing.T) {
 		[]spirv.ID{5, 2, 6},
 		[]spirv.ID{6},
 	)
+	// Labels 1..6 are block indices 0..5.
 	d := cfa.Dominators(cfa.Build(f))
-	want := map[spirv.ID]spirv.ID{2: 1, 3: 2, 4: 2, 5: 2, 6: 5}
+	want := map[int]int{0: 0, 1: 0, 2: 1, 3: 1, 4: 1, 5: 4}
 	for b, idom := range want {
-		if d.Idom[b] != idom {
-			t.Errorf("idom(%d) = %d, want %d", b, d.Idom[b], idom)
+		if d.Idom(b) != idom {
+			t.Errorf("idom(%d) = %d, want %d", b+1, d.Idom(b)+1, idom+1)
 		}
 	}
-	if !d.Dominates(1, 6) || !d.Dominates(2, 6) || !d.Dominates(5, 6) {
+	if !d.Dominates(0, 5) || !d.Dominates(1, 5) || !d.Dominates(4, 5) {
 		t.Error("1, 2, 5 must dominate 6")
 	}
-	if d.Dominates(3, 5) || d.Dominates(4, 5) {
+	if d.Dominates(2, 4) || d.Dominates(3, 4) {
 		t.Error("3 and 4 must not dominate 5")
 	}
-	if !d.Dominates(3, 3) {
+	if !d.Dominates(2, 2) {
 		t.Error("dominance is reflexive")
 	}
-	if d.StrictlyDominates(3, 3) {
+	if d.StrictlyDominates(2, 2) {
 		t.Error("strict dominance is irreflexive")
+	}
+	if d.Dominates(-1, 2) || d.Dominates(2, -1) || d.Dominates(-1, -1) {
+		t.Error("a missing block dominates nothing and is dominated by nothing")
 	}
 	// Unreachable blocks are dominated by nothing else.
 	f2 := fnOf(t, []spirv.ID{1}, []spirv.ID{9})
 	d2 := cfa.Dominators(cfa.Build(f2))
-	if d2.Dominates(1, 9) {
+	if d2.Dominates(0, 1) || d2.Idom(1) != -1 {
 		t.Error("unreachable block must not be dominated by entry")
+	}
+	if !d2.Dominates(1, 1) {
+		t.Error("an unreachable block dominates itself")
 	}
 }
 
 func TestReversePostOrder(t *testing.T) {
 	f := fnOf(t, []spirv.ID{1, 2, 3}, []spirv.ID{2, 4}, []spirv.ID{3, 4}, []spirv.ID{4})
 	rpo := cfa.Build(f).ReversePostOrder()
-	if rpo[0] != 1 || rpo[len(rpo)-1] != 4 {
+	if rpo[0] != 0 || rpo[len(rpo)-1] != 3 {
 		t.Fatalf("rpo = %v", rpo)
 	}
-	pos := map[spirv.ID]int{}
+	pos := map[int32]int{}
 	for i, b := range rpo {
 		pos[b] = i
 	}
-	if !(pos[1] < pos[2] && pos[1] < pos[3] && pos[2] < pos[4] && pos[3] < pos[4]) {
+	if !(pos[0] < pos[1] && pos[0] < pos[2] && pos[1] < pos[3] && pos[2] < pos[3]) {
 		t.Fatalf("rpo order violated: %v", rpo)
 	}
 }
@@ -154,27 +165,45 @@ func TestAvailability(t *testing.T) {
 	if !info.AvailableAt(c, b4.Label, 0) {
 		t.Error("constants are available everywhere")
 	}
-	if info.AvailableAt(b3.Label, b5.Label, 0) {
+	if info.AvailableAt(b3.Label, b5.Label, 0) || info.AvailableAt(b3.Label, b3.Label, 1) {
 		t.Error("labels are not values")
+	}
+	if !info.ModuleScope(c) || info.ModuleScope(v10) {
+		t.Error("constants are at module scope, body results are not")
+	}
+	// Ids at or above the bound are defined nowhere, and never panic.
+	for _, id := range []spirv.ID{m.Bound, m.Bound + 1, 1<<32 - 1} {
+		if info.AvailableAt(id, b5.Label, 0) || info.ModuleScope(id) {
+			t.Errorf("id %d at or above the bound must not be available", id)
+		}
+	}
+	if info.AvailableAt(v10, 1<<32-1, 0) {
+		t.Error("no id is available in a block that does not exist")
 	}
 }
 
 func TestBlockOrderRespectsDominance(t *testing.T) {
 	// Order 1,2,3,4 with 1->(2,3), 2->4, 3->4 is fine; 4 before 2 is fine
 	// too (4's idom is 1); but a dominated block before its idom is not.
+	respects := func(f *spirv.Function) bool { return cfa.Dominators(cfa.Build(f)).RespectsBlockOrder() }
 	f := fnOf(t, []spirv.ID{1, 2, 3}, []spirv.ID{2, 4}, []spirv.ID{3, 4}, []spirv.ID{4})
-	if !cfa.BlockOrderRespectsDominance(f) {
+	if !respects(f) {
 		t.Fatal("valid order rejected")
 	}
 	// Swap 4 (idom 1) before 2 and 3: still valid.
 	f.Blocks[1], f.Blocks[3] = f.Blocks[3], f.Blocks[1]
-	if !cfa.BlockOrderRespectsDominance(f) {
+	if !respects(f) {
 		t.Fatal("reorder of siblings rejected (Figure 8b shape)")
 	}
 	// 1 -> 2 -> 3 chain with 3 placed before 2: 3's idom is 2, invalid.
 	g := fnOf(t, []spirv.ID{1, 2}, []spirv.ID{2, 3}, []spirv.ID{3})
 	g.Blocks[1], g.Blocks[2] = g.Blocks[2], g.Blocks[1]
-	if cfa.BlockOrderRespectsDominance(g) {
+	if respects(g) {
 		t.Fatal("dominated block before dominator accepted")
+	}
+	// An unreachable block may come anywhere after the entry.
+	h := fnOf(t, []spirv.ID{1, 3}, []spirv.ID{9, 3}, []spirv.ID{3})
+	if !respects(h) {
+		t.Fatal("unreachable block before its successor rejected")
 	}
 }

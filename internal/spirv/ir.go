@@ -268,23 +268,26 @@ func (b *Block) Clone() *Block {
 }
 
 // Successors returns the ids of the blocks this block branches to.
-func (b *Block) Successors() []ID {
+func (b *Block) Successors() []ID { return b.AppendSuccessors(nil) }
+
+// AppendSuccessors appends the ids of the blocks this block branches to, in
+// terminator operand order, to dst.
+func (b *Block) AppendSuccessors(dst []ID) []ID {
 	if b.Term == nil {
-		return nil
+		return dst
 	}
 	switch b.Term.Op {
 	case OpBranch:
-		return []ID{b.Term.IDOperand(0)}
+		return append(dst, b.Term.IDOperand(0))
 	case OpBranchConditional:
-		return []ID{b.Term.IDOperand(1), b.Term.IDOperand(2)}
+		return append(dst, b.Term.IDOperand(1), b.Term.IDOperand(2))
 	case OpSwitch:
-		succs := []ID{b.Term.IDOperand(1)}
+		dst = append(dst, b.Term.IDOperand(1))
 		for i := 2; i+1 < len(b.Term.Operands); i += 2 {
-			succs = append(succs, ID(b.Term.Operands[i+1]))
+			dst = append(dst, ID(b.Term.Operands[i+1]))
 		}
-		return succs
 	}
-	return nil
+	return dst
 }
 
 // Instructions calls f over every instruction in the block in order

@@ -13,6 +13,7 @@ import (
 	"fmt"
 
 	"spirvfuzz/internal/spirv"
+	"spirvfuzz/internal/spirv/cfa"
 )
 
 // Error describes a validation failure.
@@ -65,6 +66,11 @@ func (v *validator) checkHeaderAndIDs() error {
 	}
 	if v.m.MemoryModel == nil {
 		return errf("module.memory-model", "module has no OpMemoryModel")
+	}
+	// The analyses size their per-id tables from the bound, so a bound past
+	// the SPIR-V universal limit is rejected before any of them runs.
+	if v.m.Bound >= cfa.MaxTable {
+		return errf("module.bound", "bound %d exceeds the limit %d", v.m.Bound, cfa.MaxTable-1)
 	}
 	v.defs = make(map[spirv.ID]*spirv.Instruction)
 	var first error

@@ -311,3 +311,9 @@ func FuzzDecodeValidate(f *testing.F) {
 		_ = validate.Module(m) // the property is the absence of a panic
 	})
 }
+
+func TestRejectsBoundPastUniversalLimit(t *testing.T) {
+	m := testmod.Diamond()
+	m.Bound = 0xFFFFFFFF
+	wantErr(t, m, "module.bound")
+}

@@ -128,7 +128,16 @@ func (j *Journal) replay(fn func(Record) error) (int64, error) {
 		return 0, fmt.Errorf("store: journal: %w", err)
 	}
 	defer f.Close()
-	r := bufio.NewReaderSize(f, 1<<20)
+	// Size the reader to the journal: a fresh store's is empty, and most
+	// are far below the 1 MiB cap.
+	st, err := f.Stat()
+	if err != nil {
+		return 0, fmt.Errorf("store: journal: %w", err)
+	}
+	if st.Size() == 0 {
+		return 0, nil
+	}
+	r := bufio.NewReaderSize(f, int(min(st.Size(), 1<<20)))
 	var valid int64
 	for {
 		line, err := r.ReadBytes('\n')
